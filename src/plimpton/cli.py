@@ -3,7 +3,9 @@
 Subcommands: verify, reconstruct, enumerate, convert, errors, cadence.
 Global flags --format {text,csv,json,md} and --output PATH.  All output
 is deterministic for fixed inputs; the dataset path can be overridden
-with the PLIMPTON322_DATASET environment variable.
+with the PLIMPTON322_DATASET environment variable.  Each command returns
+its text and exit code; main writes the text once and turns the
+package's typed errors into exit code 2 with a single "error:" line.
 """
 
 from __future__ import annotations
@@ -13,30 +15,30 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, formats, reconstruction, scribal, tablet, trig
+from .numerics import fraction_text
 from .sexagesimal import AnchoredSexagesimal, from_rational, parse, to_rational
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _key_values(record: dict[str, str], fmt: str) -> str:
+    """One record as JSON, or as an aligned key/value block otherwise."""
+    if fmt == "json":
+        return formats.to_json([record])
+    width = max(len(k) for k in record)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in record.items()) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     dataset = tablet.load_dataset(args.dataset)
-    rows = [args.line] if args.line else None
+    rows = None if args.line is None else [args.line]
     report = reconstruction.verify_all(dataset, use_inscribed=args.use_inscribed, rows=rows)
+    code = 0 if report.all_passed else 1
     if args.format in ("csv", "json", "md"):
         records = []
         for check in report.checks:
             record = formats.tablet_record(dataset.get_line(check.row))
             record["status"] = "ok" if check.passed else "mismatch"
             records.append(record)
-        text = formats.render(records, formats.TABLET_COLUMNS + ["status"], args.format)
-        _write_output(text, args.output)
-        return 0 if report.all_passed else 1
+        return formats.render(records, formats.TABLET_COLUMNS + ["status"], args.format), code
 
     lines = []
     for check in report.checks:
@@ -55,31 +57,26 @@ def _cmd_verify(args) -> int:
         "definition range: {predicate}, boundary {boundary_deg:.4f} deg "
         "(quoted ~{quoted_boundary_deg} deg, delta {delta_deg:+.4f})".format(**boundary)
     )
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0 if report.all_passed else 1
+    return "\n".join(lines) + "\n", code
 
 
-def _cmd_reconstruct(args) -> int:
-    try:
-        numeral = parse(args.col0)
-        two_p = to_rational(AnchoredSexagesimal(numeral, args.anchor))
-        shorten_by: int | str | None = None
-        if args.shorten == "max":
-            shorten_by = "max"
-        elif args.shorten:
-            shorten_by = int(args.shorten)
-        arrow = reconstruction.ArrowValue(two_p)
-        col_i = reconstruction.col0_to_col_i(arrow)
-        tri = reconstruction.reconstruct_line(arrow, shorten_by=shorten_by)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_reconstruct(args) -> tuple[str, int]:
+    numeral = parse(args.col0)
+    two_p = to_rational(AnchoredSexagesimal(numeral, args.anchor))
+    shorten_by: int | str | None = None
+    if args.shorten == "max":
+        shorten_by = "max"
+    elif args.shorten:
+        shorten_by = int(args.shorten)
+    arrow = reconstruction.ArrowValue(two_p)
+    col_i = reconstruction.col0_to_col_i(arrow)
+    tri = reconstruction.reconstruct_line(arrow, shorten_by=shorten_by)
     fv = trig.from_function_values(tri.tan_fv, tri.sec_fv)
     record = {
         "col0": str(numeral),
         "col0_decimal": formats.decimal_with_period(two_p),
         "colI_sex": str(from_rational(col_i).numeral),
-        "colI_frac": f"{col_i.numerator}/{col_i.denominator}",
+        "colI_frac": fraction_text(col_i),
         "colI_decimal": "3600 x " + formats.decimal_with_period(col_i / 3600),
         "colII": str(tri.width),
         "colII_sex": str(from_rational(Fraction(tri.width)).numeral),
@@ -92,16 +89,10 @@ def _cmd_reconstruct(args) -> int:
         "bab_sec": formats.decimal_with_period(fv.bab_sec),
         "angle_deg": repr(fv.angle_deg),
     }
-    if args.format == "json":
-        text = formats.to_json([record])
-    else:
-        width = max(len(k) for k in record)
-        text = "\n".join(f"{k:<{width}}  {v}" for k, v in record.items()) + "\n"
-    _write_output(text, args.output)
-    return 0
+    return _key_values(record, args.format), 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[str, int]:
     range_min, range_max = 0.0, None
     if args.range:
         lo, _, hi = args.range.partition(":")
@@ -134,47 +125,32 @@ def _cmd_enumerate(args) -> int:
             f" tablet_span_rows={summary.tablet_span_count}"
             f" tablet_span_mean_arcmin={summary.tablet_span_mean_arcmin:.4f}\n"
         )
-    _write_output(text, args.output)
-    return 0
+    return text, 0
 
 
-def _cmd_convert(args) -> int:
-    try:
-        if args.mode == "triple":
-            width, diagonal, base = (int(v) for v in args.values)
-            fv = trig.from_triple(width, diagonal, base)
-            tri = reconstruction.stretch_to_integers(fv.tan_fv, fv.sec_fv)
-        elif args.mode == "values":
-            tan_fv = Fraction(args.values[0])
-            sec_fv = Fraction(args.values[1])
-            fv = trig.from_function_values(tan_fv, sec_fv)
-            tri = reconstruction.stretch_to_integers(tan_fv, sec_fv)
-        else:
-            raise ValueError(f"unknown mode {args.mode!r}")
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_convert(args) -> tuple[str, int]:
+    if args.mode == "triple":
+        width, diagonal, base = (int(v) for v in args.values)
+        fv = trig.from_triple(width, diagonal, base)
+    else:
+        tan_text, sec_text = args.values
+        fv = trig.from_function_values(Fraction(tan_text), Fraction(sec_text))
+    tri = reconstruction.stretch_to_integers(fv.tan_fv, fv.sec_fv)
     record = {
-        "tan_fv": f"{fv.tan_fv.numerator}/{fv.tan_fv.denominator}",
-        "sec_fv": f"{fv.sec_fv.numerator}/{fv.sec_fv.denominator}",
+        "tan_fv": fraction_text(fv.tan_fv),
+        "sec_fv": fraction_text(fv.sec_fv),
         "bab_tan": formats.decimal_with_period(fv.bab_tan),
         "bab_sec": formats.decimal_with_period(fv.bab_sec),
-        "arrow_p": f"{fv.arrow_p.numerator}/{fv.arrow_p.denominator}",
-        "exsec": f"{fv.exsec.numerator}/{fv.exsec.denominator}",
-        "sine": f"{fv.sine.numerator}/{fv.sine.denominator}",
+        "arrow_p": fraction_text(fv.arrow_p),
+        "exsec": fraction_text(fv.exsec),
+        "sine": fraction_text(fv.sine),
         "width": str(tri.width),
         "diagonal": str(tri.diagonal),
         "base": str(tri.base),
         "stretch": str(tri.stretch),
         "angle_deg": repr(fv.angle_deg),
     }
-    if args.format == "json":
-        text = formats.to_json([record])
-    else:
-        width_col = max(len(k) for k in record)
-        text = "\n".join(f"{k:<{width_col}}  {v}" for k, v in record.items()) + "\n"
-    _write_output(text, args.output)
-    return 0
+    return _key_values(record, args.format), 0
 
 
 def _chain_lines(report) -> list[str]:
@@ -197,13 +173,9 @@ def _chain_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_errors(args) -> int:
-    try:
-        rows = [args.row] if args.row else list(range(1, 16))
-        reports = [scribal.classify(row) for row in rows]
-    except tablet.RowOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_errors(args) -> tuple[str, int]:
+    rows = list(range(1, 16)) if args.row is None else [args.row]
+    reports = [scribal.classify(row) for row in rows]
     if args.row is None:
         reports = [r for r in reports if r.explanations or r.unexplained]
     if args.format == "json":
@@ -227,39 +199,29 @@ def _cmd_errors(args) -> int:
             }
             for r in reports
         ]
-        text = formats.to_json(payload)
-    else:
-        lines = []
-        for report in reports:
-            lines.extend(_chain_lines(report))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+        return formats.to_json(payload), 0
+    lines = []
+    for report in reports:
+        lines.extend(_chain_lines(report))
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_cadence(args) -> int:
-    try:
-        cm = enumeration.cadence_map(args.steps, args.seconds)
-    except (ValueError, enumeration.EmptyInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_cadence(args) -> tuple[str, int]:
+    cm = enumeration.cadence_map(args.steps, args.seconds)
     if args.format == "json":
         payload = [
             {"step": step, "elapsed_seconds": elapsed} for step, elapsed in cm.entries
         ]
         payload.append({"total_seconds": cm.total_seconds})
-        text = formats.to_json(payload)
-    else:
-        lines = [
-            f"step {step:3d}: {elapsed:8.1f} s" for step, elapsed in cm.entries
-        ]
-        lines.append(
-            f"total span: {cm.total_seconds:.1f} s over {args.steps} steps"
-            f" at {args.seconds:.0f} s/step"
-        )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+        return formats.to_json(payload), 0
+    lines = [
+        f"step {step:3d}: {elapsed:8.1f} s" for step, elapsed in cm.entries
+    ]
+    lines.append(
+        f"total span: {cm.total_seconds:.1f} s over {args.steps} steps"
+        f" at {args.seconds:.0f} s/step"
+    )
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,8 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; malformed input exits 2 with a single error line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        text, code = args.func(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .numerics import regular_numbers
 from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, stretch_to_integers
 from .sexagesimal import from_rational
+from .tablet import load_dataset
 
 DEFAULT_MAX_GENERATOR = 1000
 DEFAULT_MAX_COL_I_PLACES = 11
@@ -40,7 +41,6 @@ class EnumerationConfig:
     range_min_deg: float = 0.0
     range_max_deg: float | None = None  # None: the exact sec^2 < 60 bound
     include_degenerate: bool = False
-    exclude_base_below_60: bool = False
 
     def __post_init__(self):
         if self.max_generator < 2:
@@ -101,8 +101,6 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
             if places > config.max_col_i_places:
                 continue
             tri = stretch_to_integers(tan_fv, sec_fv)
-            if config.exclude_base_below_60 and tri.base < 60:
-                continue
             rows.append(
                 EnumeratedRow(tri, col_i, tri.angle_deg, places)
             )
@@ -140,8 +138,6 @@ def gap_analysis(
     gaps = [
         (a, b, (a.angle_deg - b.angle_deg) * 60) for a, b in zip(rows, rows[1:])
     ]
-    from .tablet import load_dataset  # local import to keep module deps one-way
-
     dataset = load_dataset()
     hi = dataset.lines[0].col_i
     lo = dataset.lines[-1].col_i
@@ -183,8 +179,6 @@ def cadence_map(count: int, seconds_per_step: float) -> CadenceMap:
 
 def tablet_positions(rows: list[EnumeratedRow]) -> list[int | None]:
     """Index of each tablet line's gradient inside an enumeration."""
-    from .tablet import load_dataset
-
     dataset = load_dataset()
     pairs = [(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows]
     index = {pair: i for i, pair in enumerate(pairs)}

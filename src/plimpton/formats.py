@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
+from .numerics import fraction_text, parse_fraction
 from .reconstruction import GradientTriangle
 from .sexagesimal import from_rational
 from .tablet import TabletLine
@@ -62,15 +63,6 @@ def decimal_with_period(value: Fraction) -> str:
     return f"{integer}.{head}p{cycle}"
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _parse_frac(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | None = None) -> dict[str, str]:
     tri = row.triangle
     two_p = 60 * (tri.sec_fv - 1)
@@ -78,14 +70,14 @@ def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | Non
         "row": str(position),
         "col0": str(from_rational(two_p).numeral),
         "colI_sex": str(from_rational(row.col_i).numeral),
-        "colI_frac": _frac_str(row.col_i),
+        "colI_frac": fraction_text(row.col_i),
         "width": str(tri.width),
         "diagonal": str(tri.diagonal),
         "base": str(tri.base),
         "X": str(tri.stretch),
         "shorten_d": str(tri.shorten_divisor) if tri.shorten_divisor else "",
-        "bab_tan": _frac_str(60 * tri.tan_fv),
-        "bab_sec": _frac_str(60 * tri.sec_fv),
+        "bab_tan": fraction_text(60 * tri.tan_fv),
+        "bab_sec": fraction_text(60 * tri.sec_fv),
         "angle_deg": repr(row.angle_deg),
         "colI_places": str(row.col_i_places),
         "tablet_line": str(tablet_line) if tablet_line is not None else "",
@@ -93,8 +85,8 @@ def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | Non
 
 
 def enumeration_from_record(record: dict[str, str]) -> EnumeratedRow:
-    tan_fv = _parse_frac(record["bab_tan"]) / 60
-    sec_fv = _parse_frac(record["bab_sec"]) / 60
+    tan_fv = parse_fraction(record["bab_tan"]) / 60
+    sec_fv = parse_fraction(record["bab_sec"]) / 60
     tri = GradientTriangle(
         width=int(record["width"]),
         diagonal=int(record["diagonal"]),
@@ -106,7 +98,7 @@ def enumeration_from_record(record: dict[str, str]) -> EnumeratedRow:
     )
     return EnumeratedRow(
         triangle=tri,
-        col_i=_parse_frac(record["colI_frac"]),
+        col_i=parse_fraction(record["colI_frac"]),
         angle_deg=float(record["angle_deg"]),
         col_i_places=int(record["colI_places"]),
     )
@@ -118,9 +110,9 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
     return {
         "row": str(line.row),
         "col0_sex": str(from_rational(line.col0).numeral),
-        "col0_frac": _frac_str(line.col0),
+        "col0_frac": fraction_text(line.col0),
         "colI_sex": str(from_rational(line.col_i).numeral),
-        "colI_frac": _frac_str(line.col_i),
+        "colI_frac": fraction_text(line.col_i),
         "colII_inscribed": str(line.col_ii_inscribed),
         "colII_corrected": str(line.col_ii_corrected),
         "colIII_inscribed": str(line.col_iii_inscribed),
@@ -139,8 +131,8 @@ def tablet_from_record(record: dict[str, str]) -> TabletLine:
         pre = (int(record["pre_II"]), int(record["pre_III"]))
     return TabletLine(
         row=int(record["row"]),
-        col0=_parse_frac(record["col0_frac"]),
-        col_i=_parse_frac(record["colI_frac"]),
+        col0=parse_fraction(record["col0_frac"]),
+        col_i=parse_fraction(record["colI_frac"]),
         col_ii_inscribed=int(record["colII_inscribed"]),
         col_ii_corrected=int(record["colII_corrected"]),
         col_iii_inscribed=int(record["colIII_inscribed"]),

@@ -35,6 +35,19 @@ class RegularFactorization:
         return 2**self.e2 * 3**self.e3 * 5**self.e5
 
 
+def fraction_text(value: Fraction) -> str:
+    """Exact "num/den" text of a rational; parse_fraction reads it back."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Read "num/den" text; the slash is required, even for integers."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        raise ValueError(f"expected num/den, got {text!r}")
+    return Fraction(int(num), int(den))
+
+
 def _strip_regular(n: int) -> tuple[int, int, int, int]:
     """Divide out all factors 2, 3, 5; return (e2, e3, e5, leftover)."""
     exponents = []

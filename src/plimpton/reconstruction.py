@@ -215,8 +215,6 @@ def digit_rule_allows(d: int, width: int, diagonal: int) -> bool:
 def digit_rule_agrees_with_divisibility(d: int, width: int, diagonal: int) -> bool:
     """True when the digit rule and plain divisibility give one verdict."""
     divisible = width % d == 0 and diagonal % d == 0
-    if d in (2, 5):
-        return digit_rule_allows(d, width, diagonal) == divisible
     if d == 4:
         # necessary-condition view: divisibility implies the rule
         return not divisible or digit_rule_allows(d, width, diagonal)

@@ -20,34 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sexagesimal import Sexagesimal, from_rational
-from .tablet import RowOutOfRange, TabletDataset, TabletLine, load_dataset
+from .sexagesimal import (
+    Digits,
+    Sexagesimal,
+    digits_to_int,
+    from_rational,
+    int_to_digits,
+    trim_digits,
+)
+from .tablet import RowOutOfRange, TabletLine, load_dataset
 
 
 class MechanismInapplicable(ValueError):
     """The mechanism's precondition fails on this digit sequence."""
-
-
-Digits = tuple[int, ...]
-
-
-def _to_digits(value: int) -> Digits:
-    return Sexagesimal.from_int(value).digits
-
-
-def _value(digits: Digits) -> int:
-    out = 0
-    for d in digits:
-        out = out * 60 + d
-    return out
-
-
-def _trim(digits: Digits) -> Digits:
-    """Floating form: drop trailing zero places."""
-    out = list(digits)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -106,10 +91,10 @@ class HalveDigits:
     """Halve the value in floating form (an odd value gains a place)."""
 
     def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        value = _value(digits)
+        value = digits_to_int(digits)
         if value % 2 == 0:
-            return _trim(_to_digits(value // 2))
-        return _trim(_to_digits(value * 30))
+            return trim_digits(int_to_digits(value // 2))
+        return trim_digits(int_to_digits(value * 30))
 
     def label(self) -> str:
         return "halve"
@@ -172,8 +157,7 @@ class MultiplyValueInsteadOfRoot:
         if remainder <= 0:
             raise MechanismInapplicable("column I has no remainder above 1")
         product = remainder * self.factor
-        scaled = from_rational(Fraction(product))
-        return _trim(scaled.numeral.digits)
+        return from_rational(Fraction(product)).numeral.digits
 
     def label(self) -> str:
         return f"multiply un-rooted column I by {self.factor}"
@@ -186,10 +170,10 @@ class ShortenWithDivisor:
     divisor: int
 
     def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        value = _value(digits)
+        value = digits_to_int(digits)
         if self.divisor < 1 or value % self.divisor:
             raise MechanismInapplicable(f"{self.divisor} does not divide {value}")
-        return _trim(_to_digits(value // self.divisor))
+        return trim_digits(int_to_digits(value // self.divisor))
 
     def label(self) -> str:
         return f"shorten by {self.divisor}"
@@ -215,7 +199,7 @@ def chain_label(chain: Chain) -> str:
     return " -> ".join(m.label() for m in chain)
 
 
-def _start_digits(dataset: TabletDataset, line: TabletLine, column: str) -> Digits:
+def _start_digits(line: TabletLine, column: str) -> Digits:
     """The corrected pipeline value a chain perturbs.
 
     For shortened lines the scribe worked from the pre-shortening pair,
@@ -225,11 +209,9 @@ def _start_digits(dataset: TabletDataset, line: TabletLine, column: str) -> Digi
     if column == "I":
         return from_rational(line.col_i).numeral.digits
     if column == "II":
-        value = line.pre_shortening[0] if line.pre_shortening else line.col_ii_corrected
-        return _to_digits(value)
+        return int_to_digits(line.unshortened[0])
     if column == "III":
-        value = line.pre_shortening[1] if line.pre_shortening else line.col_iii_corrected
-        return _to_digits(value)
+        return int_to_digits(line.unshortened[1])
     raise ValueError(f"unknown column {column!r}")
 
 
@@ -248,7 +230,7 @@ def simulate(row: int, chain: Chain, column: str | None = None) -> Sexagesimal:
                 f"row {row} has no erratum; pass a column to perturb"
             )
         column = errata[0].column
-    digits = _start_digits(dataset, line, column)
+    digits = _start_digits(line, column)
     for mechanism in chain:
         digits = mechanism.apply(digits, line)
     return Sexagesimal(digits)
@@ -360,7 +342,7 @@ def classify(row: int) -> ErrorReport:
         return ErrorReport(row, None, None, None, (), (), unexplained=False)
     erratum = errata[0]
     line = dataset.get_line(row)
-    start = _start_digits(dataset, line, erratum.column)
+    start = _start_digits(line, erratum.column)
     target = erratum.inscribed.digits
 
     frontier: list[tuple[Digits, Chain]] = [(start, ())]

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import NotRegular, factor_regular, is_regular
+from .numerics import factor_regular, is_regular
+
+Digits = tuple[int, ...]
 
 
 class ParseError(ValueError):
@@ -24,6 +26,33 @@ class ParseError(ValueError):
 
 class NonTerminating(ValueError):
     """The value has no terminating base-60 expansion."""
+
+
+def int_to_digits(n: int) -> Digits:
+    """Base-60 digits of a non-negative integer, most significant first."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    digits = []
+    while n:
+        n, d = divmod(n, 60)
+        digits.append(d)
+    return tuple(reversed(digits)) or (0,)
+
+
+def digits_to_int(digits: Digits) -> int:
+    """Integer value of a digit sequence, last digit at weight 60^0."""
+    value = 0
+    for d in digits:
+        value = value * 60 + d
+    return value
+
+
+def trim_digits(digits: Digits) -> Digits:
+    """Floating form: drop trailing zero places, keeping at least one digit."""
+    end = len(digits)
+    while end > 1 and digits[end - 1] == 0:
+        end -= 1
+    return digits[:end]
 
 
 @dataclass(frozen=True)
@@ -43,22 +72,11 @@ class Sexagesimal:
     @classmethod
     def from_int(cls, n: int) -> "Sexagesimal":
         """Digits of a non-negative integer, last digit at weight 60^0."""
-        if n < 0:
-            raise ValueError(f"expected a non-negative integer, got {n}")
-        if n == 0:
-            return cls((0,))
-        digits = []
-        while n:
-            n, d = divmod(n, 60)
-            digits.append(d)
-        return cls(tuple(reversed(digits)))
+        return cls(int_to_digits(n))
 
     def to_int(self) -> int:
         """Integer value with the last digit at weight 60^0."""
-        value = 0
-        for d in self.digits:
-            value = value * 60 + d
-        return value
+        return digits_to_int(self.digits)
 
     def formatted(self, strict: bool = False) -> str:
         """Dotted text; strict pads every digit to two characters."""
@@ -99,7 +117,7 @@ def parse(text: str) -> Sexagesimal:
     tokens = text.split(".")
     digits = []
     for token in tokens:
-        if not token or not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(f"non-numeric token {token!r} in {text!r}")
         value = int(token)
         if value > 59:
@@ -110,11 +128,8 @@ def parse(text: str) -> Sexagesimal:
 
 def to_rational(anchored: AnchoredSexagesimal) -> Fraction:
     """Exact value: sum of digit_i * 60^(exponent - i)."""
-    n = anchored.exponent
-    total = Fraction(0)
-    for i, d in enumerate(anchored.numeral.digits):
-        total += Fraction(d) * Fraction(60) ** (n - i)
-    return total
+    digits = anchored.numeral.digits
+    return digits_to_int(digits) * Fraction(60) ** (anchored.exponent - len(digits) + 1)
 
 
 def from_rational(r: Fraction) -> AnchoredSexagesimal:
@@ -135,12 +150,9 @@ def from_rational(r: Fraction) -> AnchoredSexagesimal:
     scaled = r.numerator * 60**frac_places
     assert scaled % r.denominator == 0
     scaled //= r.denominator
-    numeral = Sexagesimal.from_int(scaled)
-    exponent = len(numeral.digits) - 1 - frac_places
-    digits = list(numeral.digits)
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    return AnchoredSexagesimal(Sexagesimal(tuple(digits)), exponent)
+    digits = int_to_digits(scaled)
+    exponent = len(digits) - 1 - frac_places
+    return AnchoredSexagesimal(Sexagesimal(trim_digits(digits)), exponent)
 
 
 def reciprocal(numeral: Sexagesimal, exponent: int) -> AnchoredSexagesimal:
@@ -154,7 +166,4 @@ def reciprocal(numeral: Sexagesimal, exponent: int) -> AnchoredSexagesimal:
         raise ValueError("reciprocal needs a positive value")
     if not is_regular(v.numerator):
         raise NonTerminating(f"{numeral} has a non-regular reciprocal")
-    try:
-        return from_rational(1 / v)
-    except NotRegular as exc:  # pragma: no cover - guarded above
-        raise NonTerminating(str(exc)) from exc
+    return from_rational(1 / v)

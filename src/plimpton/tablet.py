@@ -20,6 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .numerics import parse_fraction
 from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse
 
 DATASET_ENV_VAR = "PLIMPTON322_DATASET"
@@ -64,16 +65,19 @@ class TabletLine:
     base: int
 
     @property
+    def unshortened(self) -> tuple[int, int]:
+        """Columns II and III before any shortening (width, diagonal)."""
+        return self.pre_shortening or (self.col_ii_corrected, self.col_iii_corrected)
+
+    @property
     def tan_fv(self) -> Fraction:
         """Exact tangent of the line's gradient (width / unit base)."""
-        pre_ii = self.pre_shortening[0] if self.pre_shortening else self.col_ii_corrected
-        return Fraction(pre_ii, 60 * self.stretch)
+        return Fraction(self.unshortened[0], 60 * self.stretch)
 
     @property
     def sec_fv(self) -> Fraction:
         """Exact secant of the line's gradient (diagonal / unit base)."""
-        pre_iii = self.pre_shortening[1] if self.pre_shortening else self.col_iii_corrected
-        return Fraction(pre_iii, 60 * self.stretch)
+        return Fraction(self.unshortened[1], 60 * self.stretch)
 
     @property
     def col0_sexagesimal(self) -> AnchoredSexagesimal:
@@ -120,11 +124,6 @@ class TabletDataset:
         return tuple(e for e in self.errata if e.row == row)
 
 
-def _fraction(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den))
-
-
 def _optional_int(text: str) -> int | None:
     return None if text == "-" else int(text)
 
@@ -142,8 +141,8 @@ def _parse_line_record(fields: list[str]) -> tuple[TabletLine, dict[str, str]]:
         pre = (int(pre_ii), int(pre_iii))
     line = TabletLine(
         row=int(row),
-        col0=_fraction(col0_frac),
-        col_i=_fraction(col_i_frac),
+        col0=parse_fraction(col0_frac),
+        col_i=parse_fraction(col_i_frac),
         col_ii_inscribed=int(ii_ins),
         col_ii_corrected=int(ii_cor),
         col_iii_inscribed=int(iii_ins),
@@ -179,8 +178,7 @@ def _verify_line(line: TabletLine, mirrors: dict[str, str]) -> None:
     if line.col_ii_corrected**2 + line.base**2 != line.col_iii_corrected**2:
         raise DatasetCorrupt(f"row {r}: corrected triple is not Pythagorean")
     # takiltum is the squared stretched secant at the 60^2 power
-    pre_iii = line.pre_shortening[1] if line.pre_shortening else line.col_iii_corrected
-    if line.col_i != Fraction(pre_iii, line.stretch) ** 2:
+    if line.col_i != Fraction(line.unshortened[1], line.stretch) ** 2:
         raise DatasetCorrupt(f"row {r}: column I is not the squared diagonal")
     # column 0 feeds column I by add-60-and-square
     if (line.col0 + 60) ** 2 != line.col_i:

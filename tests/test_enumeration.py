@@ -1,6 +1,10 @@
 import hashlib
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,9 +134,24 @@ def test_every_row_round_trips_through_the_pipeline(default_rows):
 def test_bases_start_at_sixty(default_rows):
     # unshortened rows always sit on a base of 60 * X
     assert all(r.triangle.base >= 60 for r in default_rows)
-    filtered = generate(EnumerationConfig(max_generator=30, exclude_base_below_60=True))
-    plain = generate(EnumerationConfig(max_generator=30))
-    assert filtered == plain
+
+
+def test_oracle_rederives_frozen_goldens():
+    """The standalone oracle, run fresh, still agrees with the frozen values."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_counts.py"
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, check=True
+    )
+    report = json.loads(result.stdout)
+    default, places9 = report["gen1000_places11"], report["gen1000_places9"]
+    assert default["total_rows"] == ORACLE_DEFAULT_COUNT
+    assert default["triple_digest"] == ORACLE_DEFAULT_DIGEST
+    assert default["mean_gap_arcmin"] == round(ORACLE_MEAN_GAP_ARCMIN, 4)
+    assert default["max_gap_arcmin"] == round(ORACLE_MAX_GAP_ARCMIN, 4)
+    assert default["tablet_span_rows"] == ORACLE_TABLET_SPAN_ROWS
+    assert default["tablet_span_mean_gap_arcmin"] == round(ORACLE_TABLET_SPAN_MEAN, 4)
+    assert places9["total_rows"] == ORACLE_PLACES9_COUNT
+    assert places9["triple_digest"] == ORACLE_PLACES9_DIGEST
 
 
 class TestGapAnalysis:

@@ -44,8 +44,10 @@ class TestParse:
             parse("")
 
     def test_non_numeric(self):
-        with pytest.raises(ParseError):
-            parse("1.x.3")
+        # non-ASCII digits pass str.isdigit but are not sexagesimal tokens
+        for text in ("1.x.3", "\u0663\u0660", "\u00b2"):
+            with pytest.raises(ParseError):
+                parse(text)
 
     def test_unpadded_tokens(self):
         assert parse("23.6.45") == parse("23.06.45")
