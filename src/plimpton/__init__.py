@@ -22,6 +22,7 @@ from .numerics import (
 from .reconstruction import (
     ArrowValue,
     GradientTriangle,
+    InconsistentTriangle,
     NotDivisible,
     OutOfDefinitionRange,
     col0_to_col_i,

@@ -95,7 +95,9 @@ def _cmd_reconstruct(args) -> tuple[str, int]:
 def _cmd_enumerate(args) -> tuple[str, int]:
     range_min, range_max = 0.0, None
     if args.range:
-        lo, _, hi = args.range.partition(":")
+        lo, colon, hi = args.range.partition(":")
+        if not colon:
+            raise ValueError(f"--range needs LO:HI, got {args.range!r}")
         range_min, range_max = float(lo), float(hi)
     config = enumeration.EnumerationConfig(
         max_generator=args.max_generator,
@@ -129,6 +131,9 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 
 
 def _cmd_convert(args) -> tuple[str, int]:
+    need = 3 if args.mode == "triple" else 2
+    if len(args.values) != need:
+        raise ValueError(f"convert {args.mode} needs {need} values, got {len(args.values)}")
     if args.mode == "triple":
         width, diagonal, base = (int(v) for v in args.values)
         fv = trig.from_triple(width, diagonal, base)

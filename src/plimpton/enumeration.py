@@ -47,8 +47,9 @@ class EnumerationConfig:
             raise ValueError("max_generator must be at least 2")
         if self.max_col_i_places < 4:
             raise ValueError("max_col_i_places must be at least 4")
-        if self.range_max_deg is not None and not self.range_min_deg < self.range_max_deg:
-            raise ValueError("empty angle range")
+        hi = 90.0 if self.range_max_deg is None else self.range_max_deg
+        if not 0 <= self.range_min_deg < hi <= 90:
+            raise ValueError(f"angle window {self.range_min_deg}:{hi} is not inside 0 <= lo < hi <= 90")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,6 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
         flat = GradientTriangle(0, 60, 60, Fraction(0), Fraction(1), 1)
         rows.append(EnumeratedRow(flat, Fraction(3600), 0.0, col_i_places_of(Fraction(3600))))
     rows.sort(key=lambda r: r.col_i, reverse=True)
-    for a, b in zip(rows, rows[1:]):
-        assert a.col_i > b.col_i, "duplicate gradient generated"
     return rows
 
 
@@ -171,8 +170,8 @@ def cadence_map(count: int, seconds_per_step: float) -> CadenceMap:
     """Elapsed time k * seconds_per_step for the k-th of count rows."""
     if count < 1:
         raise EmptyInput("cadence needs at least one row")
-    if seconds_per_step <= 0:
-        raise ValueError("seconds_per_step must be positive")
+    if not 0 < seconds_per_step < math.inf:
+        raise ValueError(f"seconds_per_step must be positive and finite, got {seconds_per_step}")
     entries = tuple((k + 1, k * seconds_per_step) for k in range(count))
     return CadenceMap(entries, seconds_per_step)
 

@@ -35,7 +35,11 @@ class OutOfDefinitionRange(ValueError):
 
 
 class NotDivisible(ValueError):
-    """A shortening divisor that does not divide both sides."""
+    """A shortening divisor that does not divide every side."""
+
+
+class InconsistentTriangle(ValueError):
+    """A gradient triangle whose sides and function values disagree."""
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,16 @@ class GradientTriangle:
         return math.degrees(math.atan2(self.width, self.base))
 
     def check(self) -> None:
-        """Assert every structural invariant, exactly."""
-        assert self.width**2 + self.base**2 == self.diagonal**2
-        assert self.sec_fv**2 - self.tan_fv**2 == 1
+        """Raise InconsistentTriangle unless every structural invariant holds exactly."""
         d = self.shorten_divisor or 1
-        assert self.width * d == 60 * self.tan_fv * self.stretch
-        assert self.diagonal * d == 60 * self.sec_fv * self.stretch
-        assert self.base * d == 60 * self.stretch
+        if not (
+            self.width**2 + self.base**2 == self.diagonal**2
+            and self.sec_fv**2 - self.tan_fv**2 == 1
+            and self.width * d == 60 * self.tan_fv * self.stretch
+            and self.diagonal * d == 60 * self.sec_fv * self.stretch
+            and self.base * d == 60 * self.stretch
+        ):
+            raise InconsistentTriangle(f"{self} breaks a structural invariant")
 
 
 def in_definition_range(arrow: ArrowValue) -> bool:
@@ -140,15 +147,13 @@ def stretch_to_integers(tan_fv: Fraction, sec_fv: Fraction) -> GradientTriangle:
 def shorten(tri: GradientTriangle, d: int) -> GradientTriangle:
     """Divide width, diagonal and base by a common divisor d.
 
-    Divisibility of width and diagonal is the authoritative test (the
-    base follows automatically); NotDivisible is exactly the line-15
-    failure mode.  Function values are untouched.
+    NotDivisible is exactly the line-15 failure mode.  Function values
+    are untouched.
     """
     if d < 1:
         raise ValueError(f"divisor must be positive, got {d}")
-    if tri.width % d or tri.diagonal % d:
-        raise NotDivisible(f"{d} does not divide both {tri.width} and {tri.diagonal}")
-    assert tri.base % d == 0  # implied: d^2 | diagonal^2 - width^2
+    if tri.width % d or tri.diagonal % d or tri.base % d:
+        raise NotDivisible(f"{d} does not divide all of {tri.triple}")
     return replace(
         tri,
         width=tri.width // d,

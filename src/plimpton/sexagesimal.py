@@ -147,9 +147,7 @@ def from_rational(r: Fraction) -> AnchoredSexagesimal:
         raise NonTerminating(f"denominator of {r} is not regular")
     f = factor_regular(r.denominator)
     frac_places = max((f.e2 + 1) // 2, f.e3, f.e5)
-    scaled = r.numerator * 60**frac_places
-    assert scaled % r.denominator == 0
-    scaled //= r.denominator
+    scaled = r.numerator * 60**frac_places // r.denominator
     digits = int_to_digits(scaled)
     exponent = len(digits) - 1 - frac_places
     return AnchoredSexagesimal(Sexagesimal(trim_digits(digits)), exponent)

@@ -3,8 +3,8 @@
 The dataset ships as a human-auditable text file (data/plimpton322.txt)
 holding all fifteen lines with inscribed and corrected values, the
 pre-shortening pairs, the erratum registry and the alternate-reading
-annotations.  Loading verifies a checksum and every cross-column
-invariant, so a corrupted dataset can never feed the golden tests.
+annotations.  Loading verifies a checksum, every mirror and every
+cross-column invariant; any defect in the file is a DatasetCorrupt.
 
 The file path can be overridden with the PLIMPTON322_DATASET
 environment variable or an explicit argument to load_dataset.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,60 +120,51 @@ class TabletDataset:
         return self.lines[row - 1]
 
     def errata_for(self, row: int) -> tuple[ErratumRecord, ...]:
-        if not 1 <= row <= len(self.lines):
-            raise RowOutOfRange(f"row {row} outside 1..{len(self.lines)}")
+        self.get_line(row)  # the same 1..15 bounds check
         return tuple(e for e in self.errata if e.row == row)
 
 
-def _optional_int(text: str) -> int | None:
-    return None if text == "-" else int(text)
+def _mirrored(
+    row: str, mirror: str, text: str, parse_value: Callable[[str], Fraction | int]
+) -> Fraction | int | None:
+    """A value cell checked against its dotted-sexagesimal mirror; None when both are "-"."""
+    if mirror == text == "-":
+        return None
+    value = parse_value(text)
+    if parse(mirror) != from_rational(value).numeral:
+        raise DatasetCorrupt(f"row {row}: mirror {mirror!r} does not match {value}")
+    return value
 
 
-def _parse_line_record(fields: list[str]) -> tuple[TabletLine, dict[str, str]]:
+def _parse_line_record(fields: list[str]) -> TabletLine:
     if len(fields) != 20:
         raise DatasetCorrupt(f"line record has {len(fields)} fields, expected 20")
-    (row, col0_sex, col0_frac, col_i_sex, col_i_frac,
-     ii_ins_sex, ii_ins, ii_cor_sex, ii_cor,
-     iii_ins_sex, iii_ins, iii_cor_sex, iii_cor,
-     pre_ii_sex, pre_ii, pre_iii_sex, pre_iii,
-     stretch, shorten_d, base) = fields
-    pre = None
-    if pre_ii != "-":
-        pre = (int(pre_ii), int(pre_iii))
-    line = TabletLine(
+    row, stretch, shorten_d, base = fields[0], fields[17], fields[18], fields[19]
+    cells = [
+        _mirrored(row, fields[k], fields[k + 1], parse_fraction if k < 5 else int)
+        for k in range(1, 17, 2)
+    ]
+    col0, col_i, ii_ins, ii_cor, iii_ins, iii_cor, pre_ii, pre_iii = cells
+    if None in cells[:6]:
+        raise DatasetCorrupt(f"row {row}: a required cell is '-'")
+    if not (pre_ii is None) == (pre_iii is None) == (shorten_d == "-"):
+        raise DatasetCorrupt(f"row {row}: pre-shortening pair and divisor not all present or all absent")
+    return TabletLine(
         row=int(row),
-        col0=parse_fraction(col0_frac),
-        col_i=parse_fraction(col_i_frac),
-        col_ii_inscribed=int(ii_ins),
-        col_ii_corrected=int(ii_cor),
-        col_iii_inscribed=int(iii_ins),
-        col_iii_corrected=int(iii_cor),
-        pre_shortening=pre,
+        col0=col0,
+        col_i=col_i,
+        col_ii_inscribed=ii_ins,
+        col_ii_corrected=ii_cor,
+        col_iii_inscribed=iii_ins,
+        col_iii_corrected=iii_cor,
+        pre_shortening=None if pre_ii is None else (pre_ii, pre_iii),
         stretch=int(stretch),
-        shorten_divisor=_optional_int(shorten_d),
+        shorten_divisor=None if shorten_d == "-" else int(shorten_d),
         base=int(base),
     )
-    mirrors = {
-        "col0": col0_sex, "col_i": col_i_sex,
-        "ii_ins": ii_ins_sex, "ii_cor": ii_cor_sex,
-        "iii_ins": iii_ins_sex, "iii_cor": iii_cor_sex,
-        "pre_ii": pre_ii_sex, "pre_iii": pre_iii_sex,
-    }
-    return line, mirrors
 
 
-def _check_mirror(row: int, name: str, sex_text: str, value: Fraction) -> None:
-    """A dotted-sexagesimal cell must equal its rational mirror exactly."""
-    if sex_text == "-":
-        return
-    anchored = from_rational(value)
-    if parse(sex_text) != anchored.numeral:
-        raise DatasetCorrupt(
-            f"row {row}: {name} mirror {sex_text!r} does not match {value}"
-        )
-
-
-def _verify_line(line: TabletLine, mirrors: dict[str, str]) -> None:
+def _verify_line(line: TabletLine) -> None:
     r = line.row
     # Pythagorean closure on the corrected triple
     if line.col_ii_corrected**2 + line.base**2 != line.col_iii_corrected**2:
@@ -186,7 +178,7 @@ def _verify_line(line: TabletLine, mirrors: dict[str, str]) -> None:
     if line.pre_shortening is not None:
         pre_ii, pre_iii = line.pre_shortening
         d = line.shorten_divisor
-        if d is None or pre_ii != line.col_ii_corrected * d or pre_iii != line.col_iii_corrected * d:
+        if pre_ii != line.col_ii_corrected * d or pre_iii != line.col_iii_corrected * d:
             raise DatasetCorrupt(f"row {r}: shortening divisor inconsistent")
         if pre_ii**2 + (60 * line.stretch) ** 2 != pre_iii**2:
             raise DatasetCorrupt(f"row {r}: pre-shortening triple is not Pythagorean")
@@ -194,33 +186,36 @@ def _verify_line(line: TabletLine, mirrors: dict[str, str]) -> None:
             raise DatasetCorrupt(f"row {r}: base inconsistent with shortening")
     elif line.base != 60 * line.stretch:
         raise DatasetCorrupt(f"row {r}: base is not 60 * stretch")
-    _check_mirror(r, "col0", mirrors["col0"], line.col0)
-    _check_mirror(r, "col_i", mirrors["col_i"], line.col_i)
-    _check_mirror(r, "col_ii_ins", mirrors["ii_ins"], Fraction(line.col_ii_inscribed))
-    _check_mirror(r, "col_ii_cor", mirrors["ii_cor"], Fraction(line.col_ii_corrected))
-    _check_mirror(r, "col_iii_ins", mirrors["iii_ins"], Fraction(line.col_iii_inscribed))
-    _check_mirror(r, "col_iii_cor", mirrors["iii_cor"], Fraction(line.col_iii_corrected))
-    if line.pre_shortening is not None:
-        _check_mirror(r, "pre_ii", mirrors["pre_ii"], Fraction(line.pre_shortening[0]))
-        _check_mirror(r, "pre_iii", mirrors["pre_iii"], Fraction(line.pre_shortening[1]))
 
 
 def _verify_dataset(dataset: TabletDataset) -> None:
-    if len(dataset.lines) != 15:
-        raise DatasetCorrupt(f"expected 15 lines, found {len(dataset.lines)}")
     if [line.row for line in dataset.lines] != list(range(1, 16)):
         raise DatasetCorrupt("line rows are not 1..15 in order")
     col_i_values = [line.col_i for line in dataset.lines]
     if any(a <= b for a, b in zip(col_i_values, col_i_values[1:])):
         raise DatasetCorrupt("column I values are not strictly descending")
     expected = {(2, "III"), (8, "I"), (9, "II"), (13, "II"), (15, "III")}
-    found = {(e.row, e.column) for e in dataset.errata}
-    if found != expected or len(dataset.errata) != 5:
-        raise DatasetCorrupt(f"erratum registry mismatch: {sorted(found)}")
-    if "line2_alternate_reading_col_iii" not in dataset.annotations:
-        raise DatasetCorrupt("line 2 alternate-reading annotation missing")
-    if "line15_alternate_triple" not in dataset.annotations:
-        raise DatasetCorrupt("line 15 alternate-triple annotation missing")
+    by_cell = {(e.row, e.column): e for e in dataset.errata}
+    if by_cell.keys() != expected or len(dataset.errata) != 5:
+        raise DatasetCorrupt(f"erratum registry mismatch: {sorted(by_cell)}")
+    for line in dataset.lines:
+        columns = {
+            "I": (None, line.col_i),
+            "II": (line.col_ii_inscribed, line.col_ii_corrected),
+            "III": (line.col_iii_inscribed, line.col_iii_corrected),
+        }
+        for column, (inscribed, corrected) in columns.items():
+            erratum = by_cell.get((line.row, column))
+            if erratum is None:
+                if inscribed not in (None, corrected):
+                    raise DatasetCorrupt(f"row {line.row}: column {column} miswritten with no erratum")
+            elif erratum.corrected != from_rational(corrected).numeral or (
+                inscribed is not None and erratum.inscribed != from_rational(inscribed).numeral
+            ):
+                raise DatasetCorrupt(f"row {line.row}: column {column} erratum does not match the line")
+    for key in ("line2_alternate_reading_col_iii", "line15_alternate_triple"):
+        if key not in dataset.annotations:
+            raise DatasetCorrupt(f"annotation {key} missing")
 
 
 def _read_text(path: str | None) -> str:
@@ -230,25 +225,17 @@ def _read_text(path: str | None) -> str:
 
 
 def _parse_dataset(text: str) -> TabletDataset:
-    marker = "# sha256="
-    lines = text.splitlines(keepends=True)
-    body_start = None
-    stated = None
-    for i, raw in enumerate(lines):
-        if raw.startswith(marker):
-            stated = raw[len(marker):].strip()
-            body_start = i + 1
-            break
-    if stated is None:
+    _, marker, signed = text.partition("\n# sha256=")
+    if not marker:
         raise DatasetCorrupt("checksum header missing")
-    body = "".join(lines[body_start:])
+    stated, _, body = signed.partition("\n")
+    stated = stated.strip()
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if digest != stated:
         raise DatasetCorrupt(f"checksum mismatch: {digest} != {stated}")
 
     section = None
     tablet_lines: list[TabletLine] = []
-    mirrors_by_row: dict[int, dict[str, str]] = {}
     errata: list[ErratumRecord] = []
     annotations: dict[str, str] = {}
     for raw in body.splitlines():
@@ -259,9 +246,7 @@ def _parse_dataset(text: str) -> TabletDataset:
             section = stripped
             continue
         if section == "[lines]":
-            line, mirrors = _parse_line_record(stripped.split("|"))
-            tablet_lines.append(line)
-            mirrors_by_row[line.row] = mirrors
+            tablet_lines.append(_parse_line_record(stripped.split("|")))
         elif section == "[errata]":
             fields = stripped.split("|")
             if len(fields) != 5:
@@ -283,14 +268,20 @@ def _parse_dataset(text: str) -> TabletDataset:
 
     dataset = TabletDataset(tuple(tablet_lines), tuple(errata), annotations)
     for line in dataset.lines:
-        _verify_line(line, mirrors_by_row[line.row])
+        _verify_line(line)
     _verify_dataset(dataset)
     return dataset
 
 
 @lru_cache(maxsize=4)
 def _load_cached(path: str | None) -> TabletDataset:
-    return _parse_dataset(_read_text(path))
+    """The loader's one error boundary: any malformed cell is a DatasetCorrupt."""
+    try:
+        return _parse_dataset(_read_text(path))
+    except DatasetCorrupt:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise DatasetCorrupt(f"malformed dataset: {exc}") from exc
 
 
 def load_dataset(path: str | os.PathLike | None = None) -> TabletDataset:

@@ -112,6 +112,11 @@ class TestEnumerate:
         assert len(records) == 1
         assert records[0]["width"] == "119"
 
+    def test_range_needs_lo_hi(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--range", "5")
+        assert code == 2
+        assert "--range needs LO:HI" in err
+
     def test_max_places_cap(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-places", "4")
         assert code == 0
@@ -167,6 +172,15 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "triple", "3", "5", "5")
         assert code == 2
         assert "right triangle" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("triple", "3", "4"), "convert triple needs 3 values, got 2"),
+        (("values", "3/4"), "convert values needs 2 values, got 1"),
+    ], ids=["triple", "values"])
+    def test_value_count_named(self, capsys, argv, message):
+        code, _, err = run(capsys, "convert", *argv)
+        assert code == 2
+        assert message in err
 
 
 class TestErrors:
@@ -228,6 +242,9 @@ class TestCadence:
         ("enumerate", "--max-generator", "1"),
         ("--output", "/nonexistent/x", "verify"),
         ("convert", "values", "3/4"),
+        ("enumerate", "--range", "80:95"),
+        ("cadence", "--seconds", "nan"),
+        ("cadence", "--seconds", "inf"),
         ("reconstruct", "\u0662\u0664.\u0663\u0660"),  # 24.30 in Arabic-Indic digits
     ],
     ids=" ".join,

@@ -199,6 +199,9 @@ class TestCadence:
             cadence_map(0, 150)
         with pytest.raises(ValueError):
             cadence_map(5, 0)
+        for seconds in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                cadence_map(5, seconds)
 
 
 def test_config_validation():
@@ -206,5 +209,10 @@ def test_config_validation():
         EnumerationConfig(max_col_i_places=3)
     with pytest.raises(ValueError):
         EnumerationConfig(range_min_deg=50, range_max_deg=40)
+    # tan is negative past 90 degrees and the window would filter nothing
+    # or everything; NaN and infinite ends are no window either
+    for lo, hi in [(80, 95), (100, None), (-1, 10), (1, float("inf")), (float("nan"), 10)]:
+        with pytest.raises(ValueError, match="0 <= lo < hi <= 90"):
+            EnumerationConfig(range_min_deg=lo, range_max_deg=hi)
     with pytest.raises(ValueError):
         EnumerationConfig(max_generator=1)

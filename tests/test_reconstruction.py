@@ -1,13 +1,17 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plimpton
 from plimpton.numerics import NotPerfectSquare
 from plimpton.reconstruction import (
     ArrowValue,
     GradientTriangle,
+    InconsistentTriangle,
     NotDivisible,
     OutOfDefinitionRange,
     col0_to_col_i,
@@ -242,5 +246,16 @@ def test_gradient_triangle_check_catches_bad_triple():
     good = GradientTriangle(45, 75, 60, Fraction(3, 4), Fraction(5, 4), 1)
     good.check()
     bad = GradientTriangle(45, 76, 60, Fraction(3, 4), Fraction(5, 4), 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InconsistentTriangle):
         bad.check()
+
+
+def test_no_invariant_rests_on_assert():
+    # python -O strips assert statements, so the package must not use them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(plimpton.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

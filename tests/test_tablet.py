@@ -1,7 +1,12 @@
+import hashlib
 import math
+import string
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plimpton.sexagesimal import AnchoredSexagesimal, from_rational, parse, to_rational
 from plimpton.tablet import (
@@ -116,9 +121,11 @@ def test_function_values(dataset):
     assert line2.sec_fv == Fraction(24125, 17280)
 
 
-def _rechecksummed(text: str) -> str:
-    import hashlib
+def _packaged_text() -> str:
+    return resources.files("plimpton").joinpath("data/plimpton322.txt").read_text("utf-8")
 
+
+def _rechecksummed(text: str) -> str:
     marker = text.index("# sha256=")
     end = text.index("\n", marker) + 1
     body = text[end:]
@@ -127,9 +134,7 @@ def _rechecksummed(text: str) -> str:
 
 
 def test_corrupted_dataset_rejected(tmp_path, dataset):
-    from importlib import resources
-
-    original = resources.files("plimpton").joinpath("data/plimpton322.txt").read_text("utf-8")
+    original = _packaged_text()
     # break a value but keep the checksum valid: the invariants trip
     tampered = _rechecksummed(original.replace("|119|", "|118|", 1))
     bad = tmp_path / "bad.txt"
@@ -139,9 +144,7 @@ def test_corrupted_dataset_rejected(tmp_path, dataset):
 
 
 def test_checksum_guard(tmp_path):
-    from importlib import resources
-
-    original = resources.files("plimpton").joinpath("data/plimpton322.txt").read_text("utf-8")
+    original = _packaged_text()
     # change a value and keep the stated checksum: the checksum trips first
     tampered = original.replace("24.30", "24.31", 1)
     bad = tmp_path / "bad.txt"
@@ -151,13 +154,48 @@ def test_checksum_guard(tmp_path):
 
 
 def test_env_var_override(tmp_path, monkeypatch):
-    from importlib import resources
-
     copy = tmp_path / "copy.txt"
-    copy.write_text(
-        resources.files("plimpton").joinpath("data/plimpton322.txt").read_text("utf-8"),
-        encoding="utf-8",
-    )
+    copy.write_text(_packaged_text(), encoding="utf-8")
     monkeypatch.setenv(DATASET_ENV_VAR, str(copy))
     dataset = load_dataset()
     assert len(dataset.lines) == 15
+
+
+def _record_offsets(text: str) -> list[int]:
+    """Offsets of the characters of every [lines] and [errata] record.
+
+    Row 8's inscribed column I, the first numeral of its erratum, is left
+    out: it is the only cell in the file with no second copy, so a changed
+    digit there loads as a different but self-consistent dataset.  The
+    scribal tests pin its value.
+    """
+    offsets = []
+    start = 0
+    section = None
+    for raw in text.splitlines(keepends=True):
+        record = raw.rstrip("\n")
+        if record.startswith("["):
+            section = record
+        elif section in ("[lines]", "[errata]"):
+            skip = range(4, record.index("|", 4)) if record.startswith("8|I|") else ()
+            offsets += [start + i for i in range(len(record)) if i not in skip]
+        start += len(raw)
+    return offsets
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_record_is_rejected_or_unchanged(tmp_path_factory, dataset, data):
+    # one character of one record replaced, checksum re-signed: the load
+    # either refuses the file as corrupt or yields the packaged dataset
+    original = _packaged_text()
+    offset = data.draw(st.sampled_from(_record_offsets(original)), label="offset")
+    char = data.draw(st.sampled_from(string.printable), label="char")
+    mutated = _rechecksummed(original[:offset] + char + original[offset + 1:])
+    path = tmp_path_factory.mktemp("mutated") / "plimpton322.txt"
+    path.write_text(mutated, encoding="utf-8")
+    try:
+        loaded = load_dataset(path)
+    except DatasetCorrupt:
+        return
+    assert loaded == dataset
