@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, formats, reconstruction, scribal, tablet, trig
-from .numerics import fraction_text
+from .numerics import fraction_text, parse_fraction, parse_int
 from .sexagesimal import AnchoredSexagesimal, from_rational, parse, to_rational
 
 
@@ -67,7 +67,7 @@ def _cmd_reconstruct(args) -> tuple[str, int]:
     if args.shorten == "max":
         shorten_by = "max"
     elif args.shorten:
-        shorten_by = int(args.shorten)
+        shorten_by = parse_int(args.shorten)
     arrow = reconstruction.ArrowValue(two_p)
     col_i = reconstruction.col0_to_col_i(arrow)
     tri = reconstruction.reconstruct_line(arrow, shorten_by=shorten_by)
@@ -135,11 +135,11 @@ def _cmd_convert(args) -> tuple[str, int]:
     if len(args.values) != need:
         raise ValueError(f"convert {args.mode} needs {need} values, got {len(args.values)}")
     if args.mode == "triple":
-        width, diagonal, base = (int(v) for v in args.values)
+        width, diagonal, base = (parse_int(v) for v in args.values)
         fv = trig.from_triple(width, diagonal, base)
     else:
         tan_text, sec_text = args.values
-        fv = trig.from_function_values(Fraction(tan_text), Fraction(sec_text))
+        fv = trig.from_function_values(parse_fraction(tan_text), parse_fraction(sec_text))
     tri = reconstruction.stretch_to_integers(fv.tan_fv, fv.sec_fv)
     record = {
         "tan_fv": fraction_text(fv.tan_fv),

@@ -8,14 +8,32 @@ value.  Pairs with p, q both odd are kept: they cover the gradients
 whose primitive triple has its odd leg as the base (the tablet's line
 15 is one), which opposite-parity pairs cannot reach.
 
-Rows are filtered to the definition range (sec^2 < 60, checked exactly)
-and to a cap on the digit count of column I, then sorted descending by
-column I like the tablet.
+The walk visits only pairs that can become rows (Robson's reciprocal
+pair x = p/q, with tan = (x - 1/x)/2 and sec = (x + 1/x)/2):
+
+- Support groups.  The regulars are grouped by their prime support,
+  the set of primes in {2, 3, 5} dividing them.  Regular p and q are
+  coprime exactly when their supports do not overlap, so only such
+  groups are paired and no gcd is taken.
+- Ratio window.  sec^2 < 60 holds exactly when 1 < p/q < sqrt(60) +
+  sqrt(59) (about 15.43), and tan + sec = p/q rises with the angle, so
+  an angle window is a ratio window too.  For each q the sorted partner
+  groups are bisected to that window, widened by a small relative
+  slack so float rounding never drops a pair.
+- Exact integer tests.  Each pair inside the window is then tested
+  exactly on integers: sec^2 < 60 as (p^2 + q^2)^2 < 60 (2pq)^2, and
+  the angle bounds by cross-multiplying with the bound's numerator and
+  denominator.
+
+Only the pairs that pass get Fractions, column I and its digit count,
+which caps the rows; each kept row is stretched to its integer triple.
+Rows are sorted descending by column I like the tablet.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +44,11 @@ from .tablet import load_dataset
 
 DEFAULT_MAX_GENERATOR = 1000
 DEFAULT_MAX_COL_I_PLACES = 11
+
+# p/q at sec^2 = 60: the root of x + 1/x = 2 sqrt(60) above 1
+RATIO_LIMIT = math.sqrt(SEC_SQUARED_LIMIT) + math.sqrt(SEC_SQUARED_LIMIT - 1)
+# relative widening of the float ratio window; the exact tests decide
+RATIO_SLACK = 1e-9
 
 
 class EmptyInput(ValueError):
@@ -79,36 +102,67 @@ def _tan_bound(deg: float) -> Fraction | None:
     return Fraction(math.tan(math.radians(deg)))
 
 
+def _support_groups(regs: list[int]) -> list[list[int]]:
+    """Regulars split by prime support: bit 0, 1, 2 set when 2, 3, 5 divides."""
+    groups: list[list[int]] = [[] for _ in range(8)]
+    for n in regs:
+        groups[(n % 2 == 0) + 2 * (n % 3 == 0) + 4 * (n % 5 == 0)].append(n)
+    return groups
+
+
+def _ratio(tan: float) -> float:
+    """p/q of the pair with this tan: tan + sec."""
+    return tan + math.sqrt(tan * tan + 1)
+
+
+def _pair_sides(
+    regs: list[int], lower: Fraction | None, upper: Fraction | None
+) -> list[tuple[int, int, int]]:
+    """Unreduced sides (width, diagonal, base) of the pairs that can be rows.
+
+    Those are the coprime regular p > q with sec^2 < 60 and lower < tan < upper.
+    """
+    low = 1.0 if lower is None else _ratio(float(lower))
+    high = RATIO_LIMIT if upper is None else min(RATIO_LIMIT, _ratio(float(upper)))
+    low, high = low * (1 - RATIO_SLACK), high * (1 + RATIO_SLACK)
+    groups = _support_groups(regs)
+    sides = []
+    for support, qs in enumerate(groups):
+        partners = [ps for s, ps in enumerate(groups) if not s & support]
+        for q in qs:
+            p_low, p_high = max(q, q * low), q * high
+            for ps in partners:
+                for p in ps[bisect_right(ps, p_low) : bisect_left(ps, p_high)]:
+                    width, diagonal, base = p * p - q * q, p * p + q * q, 2 * p * q
+                    if diagonal * diagonal >= SEC_SQUARED_LIMIT * base * base:
+                        continue
+                    if lower is not None and width * lower.denominator <= lower.numerator * base:
+                        continue
+                    if upper is not None and width * upper.denominator >= upper.numerator * base:
+                        continue
+                    sides.append((width, diagonal, base))
+    return sides
+
+
 def generate(config: EnumerationConfig = EnumerationConfig()) -> list[EnumeratedRow]:
     """All valid rows under the config, sorted descending by column I."""
-    regs = regular_numbers(config.max_generator)
     lower = _tan_bound(config.range_min_deg)
     upper = _tan_bound(config.range_max_deg) if config.range_max_deg is not None else None
     rows = []
-    for i, q in enumerate(regs):
-        for p in regs[i + 1 :]:
-            if math.gcd(p, q) != 1:
-                continue
-            tan_fv = Fraction(p * p - q * q, 2 * p * q)
-            sec_fv = Fraction(p * p + q * q, 2 * p * q)
-            if sec_fv * sec_fv >= SEC_SQUARED_LIMIT:
-                continue
-            if lower is not None and tan_fv <= lower:
-                continue
-            if upper is not None and tan_fv >= upper:
-                continue
-            col_i = col_i_of(sec_fv)
-            places = col_i_places_of(col_i)
-            if places > config.max_col_i_places:
-                continue
-            tri = stretch_to_integers(tan_fv, sec_fv)
-            rows.append(
-                EnumeratedRow(tri, col_i, tri.angle_deg, places)
-            )
+    for width, diagonal, base in _pair_sides(regular_numbers(config.max_generator), lower, upper):
+        tan_fv = Fraction(width, base)
+        sec_fv = Fraction(diagonal, base)
+        col_i = col_i_of(sec_fv)
+        places = col_i_places_of(col_i)
+        if places > config.max_col_i_places:
+            continue
+        tri = stretch_to_integers(tan_fv, sec_fv)
+        rows.append(EnumeratedRow(tri, col_i, tri.angle_deg, places))
     if config.include_degenerate:
         flat = GradientTriangle(0, 60, 60, Fraction(0), Fraction(1), 1)
         rows.append(EnumeratedRow(flat, Fraction(3600), 0.0, col_i_places_of(Fraction(3600))))
-    rows.sort(key=lambda r: r.col_i, reverse=True)
+    # float rounding never reverses an order, so only float ties compare Fractions
+    rows.sort(key=lambda r: (float(r.col_i), r.col_i), reverse=True)
     return rows
 
 

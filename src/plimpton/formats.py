@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
-from .numerics import fraction_text, parse_fraction
+from .numerics import fraction_text, parse_fraction, parse_int
 from .reconstruction import GradientTriangle
 from .sexagesimal import from_rational
 from .tablet import TabletLine
@@ -88,19 +88,19 @@ def enumeration_from_record(record: dict[str, str]) -> EnumeratedRow:
     tan_fv = parse_fraction(record["bab_tan"]) / 60
     sec_fv = parse_fraction(record["bab_sec"]) / 60
     tri = GradientTriangle(
-        width=int(record["width"]),
-        diagonal=int(record["diagonal"]),
-        base=int(record["base"]),
+        width=parse_int(record["width"]),
+        diagonal=parse_int(record["diagonal"]),
+        base=parse_int(record["base"]),
         tan_fv=tan_fv,
         sec_fv=sec_fv,
-        stretch=int(record["X"]),
-        shorten_divisor=int(record["shorten_d"]) if record["shorten_d"] else None,
+        stretch=parse_int(record["X"]),
+        shorten_divisor=parse_int(record["shorten_d"]) if record["shorten_d"] else None,
     )
     return EnumeratedRow(
         triangle=tri,
         col_i=parse_fraction(record["colI_frac"]),
         angle_deg=float(record["angle_deg"]),
-        col_i_places=int(record["colI_places"]),
+        col_i_places=parse_int(record["colI_places"]),
     )
 
 
@@ -128,19 +128,19 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
 def tablet_from_record(record: dict[str, str]) -> TabletLine:
     pre = None
     if record["pre_II"]:
-        pre = (int(record["pre_II"]), int(record["pre_III"]))
+        pre = (parse_int(record["pre_II"]), parse_int(record["pre_III"]))
     return TabletLine(
-        row=int(record["row"]),
+        row=parse_int(record["row"]),
         col0=parse_fraction(record["col0_frac"]),
         col_i=parse_fraction(record["colI_frac"]),
-        col_ii_inscribed=int(record["colII_inscribed"]),
-        col_ii_corrected=int(record["colII_corrected"]),
-        col_iii_inscribed=int(record["colIII_inscribed"]),
-        col_iii_corrected=int(record["colIII_corrected"]),
+        col_ii_inscribed=parse_int(record["colII_inscribed"]),
+        col_ii_corrected=parse_int(record["colII_corrected"]),
+        col_iii_inscribed=parse_int(record["colIII_inscribed"]),
+        col_iii_corrected=parse_int(record["colIII_corrected"]),
         pre_shortening=pre,
-        stretch=int(record["stretch"]),
-        shorten_divisor=int(record["shorten_d"]) if record["shorten_d"] else None,
-        base=int(record["base"]),
+        stretch=parse_int(record["stretch"]),
+        shorten_divisor=parse_int(record["shorten_d"]) if record["shorten_d"] else None,
+        base=parse_int(record["base"]),
     )
 
 

@@ -40,12 +40,23 @@ def fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_int(text: str) -> int:
+    """Read a non-negative integer written in ASCII digits only.
+
+    Bare int() also takes other scripts' digits, underscores, signs and
+    surrounding spaces; no number cell of the system is spelled that way.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Read "num/den" text; the slash is required, even for integers."""
     num, slash, den = text.partition("/")
     if not slash:
         raise ValueError(f"expected num/den, got {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(parse_int(num), parse_int(den))
 
 
 def _strip_regular(n: int) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .numerics import parse_fraction
+from .numerics import parse_fraction, parse_int
 from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse
 
 DATASET_ENV_VAR = "PLIMPTON322_DATASET"
@@ -141,7 +141,7 @@ def _parse_line_record(fields: list[str]) -> TabletLine:
         raise DatasetCorrupt(f"line record has {len(fields)} fields, expected 20")
     row, stretch, shorten_d, base = fields[0], fields[17], fields[18], fields[19]
     cells = [
-        _mirrored(row, fields[k], fields[k + 1], parse_fraction if k < 5 else int)
+        _mirrored(row, fields[k], fields[k + 1], parse_fraction if k < 5 else parse_int)
         for k in range(1, 17, 2)
     ]
     col0, col_i, ii_ins, ii_cor, iii_ins, iii_cor, pre_ii, pre_iii = cells
@@ -150,7 +150,7 @@ def _parse_line_record(fields: list[str]) -> TabletLine:
     if not (pre_ii is None) == (pre_iii is None) == (shorten_d == "-"):
         raise DatasetCorrupt(f"row {row}: pre-shortening pair and divisor not all present or all absent")
     return TabletLine(
-        row=int(row),
+        row=parse_int(row),
         col0=col0,
         col_i=col_i,
         col_ii_inscribed=ii_ins,
@@ -158,9 +158,9 @@ def _parse_line_record(fields: list[str]) -> TabletLine:
         col_iii_inscribed=iii_ins,
         col_iii_corrected=iii_cor,
         pre_shortening=None if pre_ii is None else (pre_ii, pre_iii),
-        stretch=int(stretch),
-        shorten_divisor=None if shorten_d == "-" else int(shorten_d),
-        base=int(base),
+        stretch=parse_int(stretch),
+        shorten_divisor=None if shorten_d == "-" else parse_int(shorten_d),
+        base=parse_int(base),
     )
 
 
@@ -253,7 +253,7 @@ def _parse_dataset(text: str) -> TabletDataset:
                 raise DatasetCorrupt(f"erratum record has {len(fields)} fields")
             errata.append(
                 ErratumRecord(
-                    row=int(fields[0]),
+                    row=parse_int(fields[0]),
                     column=fields[1],
                     inscribed=parse(fields[2]),
                     corrected=parse(fields[3]),

@@ -246,6 +246,8 @@ class TestCadence:
         ("cadence", "--seconds", "nan"),
         ("cadence", "--seconds", "inf"),
         ("reconstruct", "\u0662\u0664.\u0663\u0660"),  # 24.30 in Arabic-Indic digits
+        ("convert", "values", "\u0663/\u0664", "5/4"),  # 3/4 in Arabic-Indic digits
+        ("convert", "triple", "4_5", "75", "60"),
     ],
     ids=" ".join,
 )

@@ -1,10 +1,8 @@
 import hashlib
 import json
 import math
-import subprocess
-import sys
+import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -136,13 +134,10 @@ def test_bases_start_at_sixty(default_rows):
     assert all(r.triangle.base >= 60 for r in default_rows)
 
 
-def test_oracle_rederives_frozen_goldens():
+def test_oracle_rederives_frozen_goldens(oracle, capsys):
     """The standalone oracle, run fresh, still agrees with the frozen values."""
-    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_counts.py"
-    result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, check=True
-    )
-    report = json.loads(result.stdout)
+    oracle.main()
+    report = json.loads(capsys.readouterr().out)
     default, places9 = report["gen1000_places11"], report["gen1000_places9"]
     assert default["total_rows"] == ORACLE_DEFAULT_COUNT
     assert default["triple_digest"] == ORACLE_DEFAULT_DIGEST
@@ -152,6 +147,80 @@ def test_oracle_rederives_frozen_goldens():
     assert default["tablet_span_mean_gap_arcmin"] == round(ORACLE_TABLET_SPAN_MEAN, 4)
     assert places9["total_rows"] == ORACLE_PLACES9_COUNT
     assert places9["triple_digest"] == ORACLE_PLACES9_DIGEST
+
+
+ORACLE_CAP = 10**5
+UNCAPPED_PLACES = 1000  # far above any column I under ORACLE_CAP
+BOUNDARY_DEG = math.degrees(math.acos(1 / math.sqrt(60)))
+
+
+@pytest.fixture(scope="module")
+def oracle_rows(oracle):
+    """The brute-force oracle's rows at the largest cap; smaller caps filter them."""
+    return oracle.enumerate_rows(ORACLE_CAP, UNCAPPED_PLACES)
+
+
+def oracle_select(rows, cap, places, lo_deg=0.0, hi_deg=None):
+    # the exact bounds generate() takes from an angle window
+    lower = Fraction(math.tan(math.radians(lo_deg))) if lo_deg > 0 else None
+    upper = Fraction(math.tan(math.radians(hi_deg))) if hi_deg is not None else None
+    return [
+        ((r["width"], r["diagonal"], r["base"]), r["col_i"], r["places"])
+        for r in rows
+        if r["p"] <= cap and r["places"] <= places
+        and (lower is None or r["tan"] > lower) and (upper is None or r["tan"] < upper)
+    ]
+
+
+def generated(cap, places, lo_deg=0.0, hi_deg=None):
+    config = EnumerationConfig(
+        max_generator=cap, max_col_i_places=places, range_min_deg=lo_deg, range_max_deg=hi_deg
+    )
+    return [(r.triangle.triple, r.col_i, r.col_i_places) for r in generate(config)]
+
+
+_caps = random.Random(322)
+SEEDED_CAPS = sorted({int(10 ** _caps.uniform(1, 5)) for _ in range(5)} | {ORACLE_CAP})
+
+
+@pytest.mark.parametrize("places", [9, 11, UNCAPPED_PLACES])
+@pytest.mark.parametrize("cap", SEEDED_CAPS)
+def test_generate_matches_oracle(oracle_rows, cap, places):
+    assert generated(cap, places) == oracle_select(oracle_rows, cap, places)
+
+
+def edge_windows(rows, rng):
+    """Windows with a bound on, or 1e-12 degrees either side of, a row's own angle."""
+    windows = [(0.0, BOUNDARY_DEG), (0.0, None), (0.0, 1e-9), (82.5, BOUNDARY_DEG), (82.55, 90.0)]
+    # a float bound can equal a tan exactly only when its denominator is a power of 2
+    binary = [r for r in rows if r["tan"].denominator & (r["tan"].denominator - 1) == 0]
+    for row in binary + rng.sample(rows, 12):
+        a = row["angle_deg"]
+        windows += [
+            (a, a + 0.5), (max(0.0, a - 0.5), a), (0.0, a), (a, BOUNDARY_DEG),
+            (a - 1e-12, a + 1e-12), (a + 1e-12, a + 0.5), (max(0.0, a - 0.5), a - 1e-12),
+        ]
+    return windows
+
+
+def test_generate_matches_oracle_on_windows(oracle_rows):
+    rng = random.Random(60)
+    windows = [(lo, lo + 0.5) for lo in (rng.uniform(0, 82) for _ in range(20))]
+    windows += edge_windows(oracle_rows, rng)
+    for lo, hi in windows:
+        assert generated(ORACLE_CAP, UNCAPPED_PLACES, lo, hi) == oracle_select(
+            oracle_rows, ORACLE_CAP, UNCAPPED_PLACES, lo, hi
+        ), (lo, hi)
+
+
+def test_large_caps_stay_strictly_ordered():
+    # 2,635 rows at 10^9: the float-keyed sort must keep column I strictly
+    # descending and each gradient once, with no frozen digest to lean on
+    rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES))
+    assert len(rows) == 2635
+    values = [r.col_i for r in rows]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
 
 
 class TestGapAnalysis:

@@ -103,3 +103,11 @@ def test_enumeration_record_fields(sample_rows):
     assert list(record) == formats.ENUMERATION_COLUMNS
     assert record["row"] == "1"
     assert "/" in record["bab_tan"] and "/" in record["colI_frac"]
+
+
+@pytest.mark.parametrize("cell", ["٤٥", "4_5", " 45", "+45"])
+def test_record_integers_are_ascii_digits(sample_records, lines, cell):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        formats.enumeration_from_record(dict(sample_records[0], width=cell))
+    with pytest.raises(ValueError, match="ASCII digits"):
+        formats.tablet_from_record(dict(formats.tablet_record(lines[10]), colII_corrected=cell))

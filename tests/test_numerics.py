@@ -12,6 +12,8 @@ from plimpton.numerics import (
     is_regular,
     isqrt_exact,
     least_integer_multiplier,
+    parse_fraction,
+    parse_int,
     rational_sqrt_exact,
     regular_numbers,
 )
@@ -142,3 +144,23 @@ class TestLeastIntegerMultiplier:
         if x <= 10_000:
             for smaller in range(1, x):
                 assert any((v * smaller).denominator != 1 for v in values)
+
+
+class TestParseInt:
+    def test_ascii_digits(self):
+        assert parse_int("0") == 0
+        assert parse_int("119") == 119
+        assert parse_int("007") == 7
+
+    @pytest.mark.parametrize(
+        "text", ["", "\u0663\u0660", "1_19", " 1", "1 ", "+1", "-1", "1.0", "\u00b2"]
+    )
+    def test_other_spellings_refused(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_int(text)
+
+    def test_fraction_parts_use_it(self):
+        assert parse_fraction("3/4") == Fraction(3, 4)
+        for text in ("\u0663/\u0664", "3/\u0664", "1_5/4", "-3/4", "3 /4"):
+            with pytest.raises(ValueError, match="ASCII digits"):
+                parse_fraction(text)

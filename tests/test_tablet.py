@@ -143,6 +143,16 @@ def test_corrupted_dataset_rejected(tmp_path, dataset):
         load_dataset(bad)
 
 
+@pytest.mark.parametrize("cell", ["|1_19|", "|\u0661\u0661\u0669|"])
+def test_integer_cell_needs_ascii_digits(tmp_path, cell):
+    # int() reads both spellings as 119, which would load unchanged
+    tampered = _rechecksummed(_packaged_text().replace("|119|", cell, 1))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(tampered, encoding="utf-8")
+    with pytest.raises(DatasetCorrupt, match="ASCII digits"):
+        load_dataset(bad)
+
+
 def test_checksum_guard(tmp_path):
     original = _packaged_text()
     # change a value and keep the stated checksum: the checksum trips first
