@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, formats, reconstruction, scribal, tablet, trig
-from .numerics import fraction_text, parse_fraction, parse_int
+from .numerics import fraction_text, parse_float, parse_fraction, parse_int, parse_signed_int
 from .sexagesimal import AnchoredSexagesimal, from_rational, parse, to_rational
 
 
@@ -63,15 +63,11 @@ def _cmd_verify(args) -> tuple[str, int]:
 def _cmd_reconstruct(args) -> tuple[str, int]:
     numeral = parse(args.col0)
     two_p = to_rational(AnchoredSexagesimal(numeral, args.anchor))
-    shorten_by: int | str | None = None
-    if args.shorten == "max":
-        shorten_by = "max"
-    elif args.shorten:
-        shorten_by = parse_int(args.shorten)
+    shorten = args.shorten or None
+    shorten_by = shorten if shorten in (None, "max") else parse_int(shorten)
     arrow = reconstruction.ArrowValue(two_p)
-    col_i = reconstruction.col0_to_col_i(arrow)
     tri = reconstruction.reconstruct_line(arrow, shorten_by=shorten_by)
-    fv = trig.from_function_values(tri.tan_fv, tri.sec_fv)
+    col_i = reconstruction.col_i_of(tri.sec_fv)
     record = {
         "col0": str(numeral),
         "col0_decimal": formats.decimal_with_period(two_p),
@@ -85,9 +81,9 @@ def _cmd_reconstruct(args) -> tuple[str, int]:
         "base": str(tri.base),
         "stretch": str(tri.stretch),
         "shorten_d": str(tri.shorten_divisor) if tri.shorten_divisor else "",
-        "bab_tan": formats.decimal_with_period(fv.bab_tan),
-        "bab_sec": formats.decimal_with_period(fv.bab_sec),
-        "angle_deg": repr(fv.angle_deg),
+        "bab_tan": formats.decimal_with_period(60 * tri.tan_fv),
+        "bab_sec": formats.decimal_with_period(60 * tri.sec_fv),
+        "angle_deg": repr(tri.angle_deg),
     }
     return _key_values(record, args.format), 0
 
@@ -98,7 +94,7 @@ def _cmd_enumerate(args) -> tuple[str, int]:
         lo, colon, hi = args.range.partition(":")
         if not colon:
             raise ValueError(f"--range needs LO:HI, got {args.range!r}")
-        range_min, range_max = float(lo), float(hi)
+        range_min, range_max = parse_float(lo), parse_float(hi)
     config = enumeration.EnumerationConfig(
         max_generator=args.max_generator,
         max_col_i_places=args.max_places,
@@ -135,11 +131,9 @@ def _cmd_convert(args) -> tuple[str, int]:
     if len(args.values) != need:
         raise ValueError(f"convert {args.mode} needs {need} values, got {len(args.values)}")
     if args.mode == "triple":
-        width, diagonal, base = (parse_int(v) for v in args.values)
-        fv = trig.from_triple(width, diagonal, base)
+        fv = trig.from_triple(*(parse_int(v) for v in args.values))
     else:
-        tan_text, sec_text = args.values
-        fv = trig.from_function_values(parse_fraction(tan_text), parse_fraction(sec_text))
+        fv = trig.from_function_values(*(parse_fraction(v) for v in args.values))
     tri = reconstruction.stretch_to_integers(fv.tan_fv, fv.sec_fv)
     record = {
         "tan_fv": fraction_text(fv.tan_fv),
@@ -153,7 +147,7 @@ def _cmd_convert(args) -> tuple[str, int]:
         "diagonal": str(tri.diagonal),
         "base": str(tri.base),
         "stretch": str(tri.stretch),
-        "angle_deg": repr(fv.angle_deg),
+        "angle_deg": repr(tri.angle_deg),
     }
     return _key_values(record, args.format), 0
 
@@ -229,8 +223,13 @@ def _cmd_cadence(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors take main's one error path
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plimpton",
         description="Exact diagonal-calculation pipeline for Plimpton 322",
     )
@@ -246,21 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="reproduce the tablet from column 0")
     p_verify.add_argument("--use-inscribed", action="store_true",
                           help="compare against the inscribed (uncorrected) values")
-    p_verify.add_argument("--line", type=int, help="check a single line")
+    p_verify.add_argument("--line", type=parse_int, help="check a single line")
     p_verify.add_argument("--dataset", help="path to an alternative dataset file")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_rec = sub.add_parser("reconstruct", help="run the pipeline on one column-0 value")
     p_rec.add_argument("col0", help="dotted sexagesimal doubled-arrow value, e.g. 24.30")
-    p_rec.add_argument("--anchor", type=int, default=0,
+    p_rec.add_argument("--anchor", type=parse_signed_int, default=0,
                        help="power of 60 of the leading digit (default 0)")
     p_rec.add_argument("--shorten", help="divisor to shorten by, or 'max'")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_enum = sub.add_parser("enumerate", help="generate the full gradient table")
-    p_enum.add_argument("--max-generator", type=int,
+    p_enum.add_argument("--max-generator", type=parse_int,
                         default=enumeration.DEFAULT_MAX_GENERATOR)
-    p_enum.add_argument("--max-places", type=int,
+    p_enum.add_argument("--max-places", type=parse_int,
                         default=enumeration.DEFAULT_MAX_COL_I_PLACES,
                         help="cap on column-I sexagesimal places")
     p_enum.add_argument("--range", help="angle window in degrees, e.g. 44.7:44.8")
@@ -277,20 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convert)
 
     p_err = sub.add_parser("errors", help="explain the scribal errors")
-    p_err.add_argument("row", nargs="?", type=int, help="tablet row (default: all)")
+    p_err.add_argument("row", nargs="?", type=parse_int, help="tablet row (default: all)")
     p_err.set_defaults(func=_cmd_errors)
 
     p_cad = sub.add_parser("cadence", help="steady observation-clock arithmetic")
-    p_cad.add_argument("--steps", type=int, default=25)
-    p_cad.add_argument("--seconds", type=float, default=150.0)
+    p_cad.add_argument("--steps", type=parse_int, default=25)
+    p_cad.add_argument("--seconds", type=parse_float, default=150.0)
     p_cad.set_defaults(func=_cmd_cadence)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; malformed input exits 2 with a single error line."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text, code = args.func(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

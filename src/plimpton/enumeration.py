@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import regular_numbers
-from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, stretch_to_integers
+from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of, stretch_to_integers
 from .sexagesimal import from_rational
 from .tablet import load_dataset
 
@@ -83,11 +83,6 @@ class EnumeratedRow:
     col_i: Fraction
     angle_deg: float
     col_i_places: int
-
-
-def col_i_of(sec_fv: Fraction) -> Fraction:
-    """The takiltum at the 60^2 power: (60 * sec)^2."""
-    return (60 * Fraction(sec_fv)) ** 2
 
 
 def col_i_places_of(col_i: Fraction) -> int:
@@ -160,7 +155,8 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
         rows.append(EnumeratedRow(tri, col_i, tri.angle_deg, places))
     if config.include_degenerate:
         flat = GradientTriangle(0, 60, 60, Fraction(0), Fraction(1), 1)
-        rows.append(EnumeratedRow(flat, Fraction(3600), 0.0, col_i_places_of(Fraction(3600))))
+        col_i = col_i_of(flat.sec_fv)
+        rows.append(EnumeratedRow(flat, col_i, flat.angle_deg, col_i_places_of(col_i)))
     # float rounding never reverses an order, so only float ties compare Fractions
     rows.sort(key=lambda r: (float(r.col_i), r.col_i), reverse=True)
     return rows

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
-from .numerics import fraction_text, parse_fraction, parse_int
+from .numerics import fraction_text, parse_float, parse_fraction, parse_int
 from .reconstruction import GradientTriangle
 from .sexagesimal import from_rational
 from .tablet import TabletLine
@@ -99,7 +99,7 @@ def enumeration_from_record(record: dict[str, str]) -> EnumeratedRow:
     return EnumeratedRow(
         triangle=tri,
         col_i=parse_fraction(record["colI_frac"]),
-        angle_deg=float(record["angle_deg"]),
+        angle_deg=parse_float(record["angle_deg"]),
         col_i_places=parse_int(record["colI_places"]),
     )
 

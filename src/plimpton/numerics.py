@@ -51,6 +51,18 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def parse_signed_int(text: str) -> int:
+    """parse_int with an optional leading minus sign."""
+    return -parse_int(text[1:]) if text.startswith("-") else parse_int(text)
+
+
+def parse_float(text: str) -> float:
+    """float() of ASCII text without underscores or surrounding spaces."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"expected an ASCII number, got {text!r}")
+    return float(text)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Read "num/den" text; the slash is required, even for integers."""
     num, slash, den = text.partition("/")
@@ -135,7 +147,8 @@ def least_integer_multiplier(values: Iterable[Fraction]) -> int:
 
     This is the lcm of the reduced denominators.  Denominators must be
     regular; a non-regular denominator would mean a non-terminating
-    sexagesimal value, which has no place in the system.
+    sexagesimal value, which has no place in the system.  The lcm is
+    regular exactly when every denominator is.
     """
     values = list(values)
     if not values:
@@ -143,6 +156,7 @@ def least_integer_multiplier(values: Iterable[Fraction]) -> int:
     for v in values:
         if v < 0:
             raise ValueError(f"expected non-negative values, got {v}")
-        if not is_regular(v.denominator):
-            raise NotRegular(f"denominator of {v} is not regular")
-    return math.lcm(*(v.denominator for v in values))
+    x = math.lcm(*(v.denominator for v in values))
+    if not is_regular(x):
+        raise NotRegular(f"a denominator of {', '.join(map(str, values))} is not regular")
+    return x

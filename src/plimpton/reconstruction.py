@@ -21,9 +21,9 @@ from fractions import Fraction
 from .numerics import least_integer_multiplier, rational_sqrt_exact
 from .sexagesimal import AnchoredSexagesimal, to_rational
 from .tablet import TabletDataset, TabletLine
+from .trig import gradient_angle_deg
 
 SEC_SQUARED_LIMIT = 60  # definition range: sec^2 < 60
-COL_I_LIMIT = 3600 * SEC_SQUARED_LIMIT
 
 # The usual quoted boundary is a touch below the exact one because the
 # steepest realizable row sits at ~82.55 degrees; see definition_range_report.
@@ -76,7 +76,7 @@ class GradientTriangle:
     @property
     def angle_deg(self) -> float:
         """Modern angle in degrees; reporting only, never fed back in."""
-        return math.degrees(math.atan2(self.width, self.base))
+        return gradient_angle_deg(self.width, self.base)
 
     def check(self) -> None:
         """Raise InconsistentTriangle unless every structural invariant holds exactly."""
@@ -96,14 +96,16 @@ def in_definition_range(arrow: ArrowValue) -> bool:
     return arrow.sec_fv**2 < SEC_SQUARED_LIMIT
 
 
+def col_i_of(sec_fv: Fraction) -> Fraction:
+    """The takiltum at the 60^2 power: (60 * sec)^2."""
+    return (60 * Fraction(sec_fv)) ** 2
+
+
 def col0_to_col_i(arrow: ArrowValue) -> Fraction:
     """Add 60 to the doubled arrow and square: the takiltum at 60^2."""
-    col_i = (arrow.two_p + 60) ** 2
-    if col_i >= COL_I_LIMIT:
-        raise OutOfDefinitionRange(
-            f"sec^2 = {col_i / 3600} is not below {SEC_SQUARED_LIMIT}"
-        )
-    return col_i
+    if not in_definition_range(arrow):
+        raise OutOfDefinitionRange(f"sec^2 = {arrow.sec_fv**2} is not below {SEC_SQUARED_LIMIT}")
+    return col_i_of(arrow.sec_fv)
 
 
 def col_i_to_function_values(col_i: Fraction) -> tuple[Fraction, Fraction]:
@@ -182,15 +184,10 @@ def reconstruct_line(
     applies that historical divisor; "max" applies the largest divisor
     that keeps the base at or above 60, when one exists.
     """
-    col_i = col0_to_col_i(arrow)
-    tan_fv, sec_fv = col_i_to_function_values(col_i)
-    tri = stretch_to_integers(tan_fv, sec_fv)
-    if shorten_by is None:
-        return tri
+    tri = stretch_to_integers(*col_i_to_function_values(col0_to_col_i(arrow)))
     if shorten_by == "max":
-        d = max_valid_divisor(tri)
-        return shorten(tri, d) if d > 1 else tri
-    return shorten(tri, int(shorten_by))
+        shorten_by = max_valid_divisor(tri)
+    return tri if shorten_by is None else shorten(tri, int(shorten_by))
 
 
 def last_digit(n: int) -> int:
@@ -285,30 +282,23 @@ def _expected_values(
 def verify_line(
     dataset: TabletDataset, line: TabletLine, use_inscribed: bool = False
 ) -> LineCheck:
-    """Recompute columns I-III from column 0 and compare."""
+    """Recompute columns I-III from column 0 in one pipeline run and compare."""
     expected_i, expected_ii, expected_iii = _expected_values(dataset, line, use_inscribed)
-    mismatches = []
-    computed_i = col0_to_col_i(ArrowValue(line.col0))
-    if computed_i != expected_i:
-        mismatches.append(("I", str(computed_i), str(expected_i)))
-    tri = reconstruct_line(ArrowValue(line.col0), shorten_by=line.shorten_divisor)
-    if line.pre_shortening is not None:
-        unshortened = reconstruct_line(ArrowValue(line.col0))
-        if (unshortened.width, unshortened.diagonal) != line.pre_shortening:
-            mismatches.append(
-                (
-                    "pre",
-                    f"{unshortened.width}/{unshortened.diagonal}",
-                    f"{line.pre_shortening[0]}/{line.pre_shortening[1]}",
-                )
-            )
-    if tri.width != expected_ii:
-        mismatches.append(("II", str(tri.width), str(expected_ii)))
-    if tri.diagonal != expected_iii:
-        mismatches.append(("III", str(tri.diagonal), str(expected_iii)))
-    if tri.base != line.base:
-        mismatches.append(("base", str(tri.base), str(line.base)))
-    return LineCheck(line.row, tuple(mismatches))
+    tri = reconstruct_line(ArrowValue(line.col0))
+    unshortened = f"{tri.width}/{tri.diagonal}"
+    pre = "{}/{}".format(*line.pre_shortening) if line.pre_shortening else unshortened
+    if line.shorten_divisor is not None:
+        tri = shorten(tri, line.shorten_divisor)
+    compared = (
+        ("I", col_i_of(tri.sec_fv), expected_i),
+        ("pre", unshortened, pre),
+        ("II", tri.width, expected_ii),
+        ("III", tri.diagonal, expected_iii),
+        ("base", tri.base, line.base),
+    )
+    return LineCheck(
+        line.row, tuple((col, str(got), str(want)) for col, got, want in compared if got != want)
+    )
 
 
 def verify_all(

@@ -291,40 +291,34 @@ class ErrorReport:
     unexplained: bool
 
 
-# Narrative hypotheses for line 2's three-way reading, plus the chain the
-# analysis rules out.  The double-misread variant lands on 3.22.1, which
-# matches the alternate reading of the inscription, not the printed one.
-_LINE2_HYPOTHESES: tuple[tuple[str, Chain, bool], ...] = (
-    ("misread, twist, then halve",
-     (MisreadFinalFiveAsTwo(), TransposeDigits(2, 3), HalveDigits()), False),
-    ("misread, halve, then twist while writing",
-     (MisreadFinalFiveAsTwo(), HalveDigits(), TransposeDigits(2, 3)), False),
-    ("double misread, then halve",
-     (DigitSlip(2, 2), MisreadFinalFiveAsTwo(), HalveDigits()), False),
-    ("direct halving of the unabridged value",
-     (HalveDigits(),), True),
-)
+# Narrative hypotheses per row: (label, chain, rejected).  Line 2's
+# three-way reading comes with the chain the analysis rules out; the
+# double-misread variant lands on 3.22.1, which matches the alternate
+# reading of the inscription, not the printed one.
+_NAMED_HYPOTHESES: dict[int, tuple[tuple[str, Chain, bool], ...]] = {
+    2: (
+        ("misread, twist, then halve",
+         (MisreadFinalFiveAsTwo(), TransposeDigits(2, 3), HalveDigits()), False),
+        ("misread, halve, then twist while writing",
+         (MisreadFinalFiveAsTwo(), HalveDigits(), TransposeDigits(2, 3)), False),
+        ("double misread, then halve",
+         (DigitSlip(2, 2), MisreadFinalFiveAsTwo(), HalveDigits()), False),
+        ("direct halving of the unabridged value",
+         (HalveDigits(),), True),
+    ),
+    8: (("adjacent places merged while copying", (MergeAdjacentDigits(4),), False),),
+    9: (("first place slipped by one", (DigitSlip(1, 1),), False),),
+    13: (("stretched the un-rooted value", (MultiplyValueInsteadOfRoot(16),), False),),
+    15: (("diagonal shortened by 4 against the width's 2", (ShortenWithDivisor(4),), False),),
+}
 
 
 def named_hypotheses(row: int) -> tuple[NamedHypothesis, ...]:
     """The registered narrative chains for a row, evaluated exactly."""
-    if row == 2:
-        out = []
-        for label, chain, rejected in _LINE2_HYPOTHESES:
-            out.append(
-                NamedHypothesis(label, chain, not refute(row, chain), rejected)
-            )
-        return tuple(out)
-    canonical: dict[int, tuple[str, Chain]] = {
-        8: ("adjacent places merged while copying", (MergeAdjacentDigits(4),)),
-        9: ("first place slipped by one", (DigitSlip(1, 1),)),
-        13: ("stretched the un-rooted value", (MultiplyValueInsteadOfRoot(16),)),
-        15: ("diagonal shortened by 4 against the width's 2", (ShortenWithDivisor(4),)),
-    }
-    if row in canonical:
-        label, chain = canonical[row]
-        return (NamedHypothesis(label, chain, not refute(row, chain)),)
-    return ()
+    return tuple(
+        NamedHypothesis(label, chain, not refute(row, chain), rejected)
+        for label, chain, rejected in _NAMED_HYPOTHESES.get(row, ())
+    )
 
 
 def classify(row: int) -> ErrorReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import factor_regular, is_regular
+from .numerics import NotRegular, factor_regular
 
 Digits = tuple[int, ...]
 
@@ -73,10 +73,6 @@ class Sexagesimal:
     def from_int(cls, n: int) -> "Sexagesimal":
         """Digits of a non-negative integer, last digit at weight 60^0."""
         return cls(int_to_digits(n))
-
-    def to_int(self) -> int:
-        """Integer value with the last digit at weight 60^0."""
-        return digits_to_int(self.digits)
 
     def formatted(self, strict: bool = False) -> str:
         """Dotted text; strict pads every digit to two characters."""
@@ -143,9 +139,10 @@ def from_rational(r: Fraction) -> AnchoredSexagesimal:
         raise ValueError(f"negative values are not representable: {r}")
     if r == 0:
         return AnchoredSexagesimal(Sexagesimal((0,)), 0)
-    if not is_regular(r.denominator):
-        raise NonTerminating(f"denominator of {r} is not regular")
-    f = factor_regular(r.denominator)
+    try:
+        f = factor_regular(r.denominator)
+    except NotRegular as exc:
+        raise NonTerminating(f"denominator of {r} is not regular") from exc
     frac_places = max((f.e2 + 1) // 2, f.e3, f.e5)
     scaled = r.numerator * 60**frac_places // r.denominator
     digits = int_to_digits(scaled)
@@ -156,12 +153,10 @@ def from_rational(r: Fraction) -> AnchoredSexagesimal:
 def reciprocal(numeral: Sexagesimal, exponent: int) -> AnchoredSexagesimal:
     """Anchored reciprocal: the product with the input is exactly 1.
 
-    Only regular values have one (a non-regular numerator would make the
-    reciprocal non-terminating).
+    Only regular values have one: the reduced denominator of 1/v is v's
+    numerator, so from_rational raises NonTerminating for the others.
     """
     v = to_rational(AnchoredSexagesimal(numeral, exponent))
     if v <= 0:
         raise ValueError("reciprocal needs a positive value")
-    if not is_regular(v.numerator):
-        raise NonTerminating(f"{numeral} has a non-regular reciprocal")
     return from_rational(1 / v)

@@ -25,6 +25,17 @@ class NotPythagorean(ValueError):
     """width^2 + base^2 != diagonal^2."""
 
 
+def gradient_angle_deg(rise: int, run: int) -> float:
+    """Every reported angle: atan2 of the sides, in degrees.
+
+    Sides beyond float range are first cut down alike by a power of two.
+    """
+    excess = max(rise.bit_length(), run.bit_length()) - 1000
+    if excess > 0:
+        rise, run = rise >> excess, run >> excess
+    return math.degrees(math.atan2(rise, run))
+
+
 @dataclass(frozen=True)
 class FunctionValueSet:
     """Exact function values of one gradient, plus the reported angle."""
@@ -58,7 +69,7 @@ class FunctionValueSet:
 
     @property
     def angle_deg(self) -> float:
-        return math.degrees(math.atan(self.tan_fv))
+        return gradient_angle_deg(self.tan_fv.numerator, self.tan_fv.denominator)
 
 
 def from_function_values(tan_fv: Fraction, sec_fv: Fraction) -> FunctionValueSet:
@@ -97,7 +108,7 @@ def double_angle_check(fv: FunctionValueSet, tol: float = 1e-12) -> bool:
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    angle = math.atan(fv.tan_fv)
+    angle = math.radians(fv.angle_deg)
     return abs(math.sin(2 * angle) - float(2 * fv.sine * fv.cosine)) < tol
 
 

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from plimpton import formats
+from plimpton import formats, reconstruction
 from plimpton.cli import main
+from plimpton.numerics import parse_fraction
+from plimpton.sexagesimal import from_rational
 
 
 def run(capsys, *argv):
@@ -248,6 +250,11 @@ class TestCadence:
         ("reconstruct", "\u0662\u0664.\u0663\u0660"),  # 24.30 in Arabic-Indic digits
         ("convert", "values", "\u0663/\u0664", "5/4"),  # 3/4 in Arabic-Indic digits
         ("convert", "triple", "4_5", "75", "60"),
+        ("verify", "--line", "\u0663"),  # 3 in Arabic-Indic digits
+        ("verify", "--line", "abc"),
+        ("enumerate", "--max-generator", "1_000"),
+        ("enumerate", "--range", "\u0664\u0664.7:44.8"),  # 44.7 in Arabic-Indic digits
+        ("cadence", "--seconds", "1_50"),
     ],
     ids=" ".join,
 )
@@ -256,6 +263,71 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--use-inscribed" in capsys.readouterr().out
+
+
+def test_negative_anchor_in_equals_form(capsys):
+    code, out, _ = run(capsys, "--format", "json", "reconstruct", "16.40", "--anchor=-2")
+    assert code == 0
+    assert json.loads(out)[0]["colII"] == "161"
+
+
+def _angle(capsys, *argv) -> str:
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    return json.loads(out)[0]["angle_deg"]
+
+
+def test_every_command_reports_one_angle_per_gradient(capsys):
+    # reconstruct (with and without --shorten max), convert triple and
+    # enumerate print the same angle_deg string for every default row
+    _, out, _ = run(capsys, "--format", "csv", "enumerate")
+    records = formats.parse_table(out, "csv")
+    assert len(records) == 245
+    disagree = []
+    for record in records:
+        two_p = from_rational(parse_fraction(record["bab_sec"]) - 60)
+        assert str(two_p.numeral) == record["col0"]
+        col0 = [record["col0"], f"--anchor={two_p.exponent}"]
+        triple = [record["width"], record["diagonal"], record["base"]]
+        angles = {
+            record["angle_deg"],
+            _angle(capsys, "reconstruct", *col0),
+            _angle(capsys, "reconstruct", *col0, "--shorten", "max"),
+            _angle(capsys, "convert", "triple", *triple),
+        }
+        if len(angles) > 1:
+            disagree.append((record["row"], sorted(angles)))
+    assert disagree == []
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_pipeline_run_per_line_and_per_reconstruct(capsys, monkeypatch):
+    stages = ("col0_to_col_i", "col_i_to_function_values", "stretch_to_integers")
+    calls = {name: _counting(monkeypatch, reconstruction, name) for name in stages}
+    assert run(capsys, "verify")[0] == 0
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(stages, 15)
+    for c in calls.values():
+        c.clear()
+    assert run(capsys, "reconstruct", "10.40", "--shorten", "max")[0] == 0
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(stages, 1)
 
 
 # stdout sha256 and exit code of each command under each --format,

@@ -12,8 +12,10 @@ from plimpton.numerics import (
     is_regular,
     isqrt_exact,
     least_integer_multiplier,
+    parse_float,
     parse_fraction,
     parse_int,
+    parse_signed_int,
     rational_sqrt_exact,
     regular_numbers,
 )
@@ -125,6 +127,10 @@ class TestLeastIntegerMultiplier:
         with pytest.raises(NotRegular):
             least_integer_multiplier([Fraction(1, 7)])
 
+    def test_non_regular_message_names_the_values(self):
+        with pytest.raises(NotRegular, match="1/2, 3/14"):
+            least_integer_multiplier([Fraction(1, 2), Fraction(3, 14)])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             least_integer_multiplier([])
@@ -158,6 +164,20 @@ class TestParseInt:
     def test_other_spellings_refused(self, text):
         with pytest.raises(ValueError, match="ASCII digits"):
             parse_int(text)
+
+    def test_signed_reader_takes_a_minus_sign_only(self):
+        assert parse_signed_int("-2") == -2
+        assert parse_signed_int("3") == 3
+        for text in ("+1", "--1", "-", "- 1", "-\u0663", "-1_0"):
+            with pytest.raises(ValueError, match="ASCII digits"):
+                parse_signed_int(text)
+
+    def test_float_reader_is_ascii_only(self):
+        assert parse_float("44.7") == 44.7
+        assert parse_float("1e2") == 100.0
+        for text in ("\u0664\u0664.7", "1_50", " 1.5", "1.5 ", "", "abc"):
+            with pytest.raises(ValueError):
+                parse_float(text)
 
     def test_fraction_parts_use_it(self):
         assert parse_fraction("3/4") == Fraction(3, 4)

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from plimpton.reconstruction import (
     shorten,
     stretch_to_integers,
     verify_all,
+    verify_line,
 )
 from plimpton.tablet import load_dataset
 
@@ -211,6 +213,32 @@ class TestVerifyAll:
     def test_empty_selection(self):
         report = verify_all(load_dataset(), rows=[])
         assert report.all_passed and report.checks == ()
+
+    def test_mismatch_report_names_every_column_in_order(self):
+        # line 5 with every checked value nudged: column I, the
+        # pre-shortening pair, columns II and III and the base
+        dataset = load_dataset()
+        line = replace(
+            dataset.get_line(5),
+            col_i=Fraction(235261, 36),
+            pre_shortening=(326, 486),
+            col_ii_corrected=66,
+            col_iii_corrected=98,
+            base=73,
+        )
+        assert verify_line(dataset, line).mismatches == (
+            ("I", "235225/36", "235261/36"),
+            ("pre", "325/485", "326/486"),
+            ("II", "65", "66"),
+            ("III", "97", "98"),
+            ("base", "72", "73"),
+        )
+        # line 2 with only the unshortened diagonal and the base nudged
+        line = replace(dataset.get_line(2), pre_shortening=(16835, 24126), base=3457)
+        assert verify_line(dataset, line).mismatches == (
+            ("pre", "16835/24125", "16835/24126"),
+            ("base", "3456", "3457"),
+        )
 
 
 def test_round_trip_through_the_pipeline():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plimpton.sexagesimal import AnchoredSexagesimal, parse, to_rational
+from plimpton.reconstruction import stretch_to_integers
 from plimpton.tablet import load_dataset
 from plimpton.trig import (
     NotPythagorean,
@@ -167,3 +168,18 @@ class TestFortyFiveDegreeRow:
         coefficient = to_rational(AnchoredSexagesimal(parse("1.24.51.10"), 0))
         _, width, diagonal = forty_five_degree_row()
         assert to_rational(AnchoredSexagesimal(diagonal, 0)) == width * coefficient
+
+
+def test_one_angle_for_a_gradient_and_its_triangle():
+    # the function values and the stretched triangle report one angle
+    for line in load_dataset().lines:
+        fv = from_function_values(line.tan_fv, line.sec_fv)
+        assert fv.angle_deg == stretch_to_integers(fv.tan_fv, fv.sec_fv).angle_deg
+
+
+def test_angle_of_sides_beyond_float_range():
+    # p = 2^600 and q = 3^300 give sides near 2^1200, past the float range
+    p, q = 2**600, 3**300
+    fv = from_triple(p * p - q * q, p * p + q * q, 2 * p * q)
+    assert fv.angle_deg == pytest.approx(math.degrees(math.atan(float(fv.tan_fv))))
+    assert stretch_to_integers(fv.tan_fv, fv.sec_fv).angle_deg == fv.angle_deg
