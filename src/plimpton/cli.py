@@ -63,10 +63,8 @@ def _cmd_verify(args) -> tuple[str, int]:
 def _cmd_reconstruct(args) -> tuple[str, int]:
     numeral = parse(args.col0)
     two_p = to_rational(AnchoredSexagesimal(numeral, args.anchor))
-    shorten = args.shorten or None
-    shorten_by = shorten if shorten in (None, "max") else parse_int(shorten)
     arrow = reconstruction.ArrowValue(two_p)
-    tri = reconstruction.reconstruct_line(arrow, shorten_by=shorten_by)
+    tri = reconstruction.reconstruct_line(arrow, shorten_by=args.shorten)
     col_i = reconstruction.col_i_of(tri.sec_fv)
     record = {
         "col0": str(numeral),
@@ -228,6 +226,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _option(reader):
+    """An argparse type whose errors give the reader's message, not its function name."""
+    def read(text: str):
+        try:
+            return reader(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="plimpton",
@@ -245,21 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="reproduce the tablet from column 0")
     p_verify.add_argument("--use-inscribed", action="store_true",
                           help="compare against the inscribed (uncorrected) values")
-    p_verify.add_argument("--line", type=parse_int, help="check a single line")
+    p_verify.add_argument("--line", type=_option(parse_int), help="check a single line")
     p_verify.add_argument("--dataset", help="path to an alternative dataset file")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_rec = sub.add_parser("reconstruct", help="run the pipeline on one column-0 value")
     p_rec.add_argument("col0", help="dotted sexagesimal doubled-arrow value, e.g. 24.30")
-    p_rec.add_argument("--anchor", type=parse_signed_int, default=0,
+    p_rec.add_argument("--anchor", type=_option(parse_signed_int), default=0,
                        help="power of 60 of the leading digit (default 0)")
-    p_rec.add_argument("--shorten", help="divisor to shorten by, or 'max'")
+    p_rec.add_argument("--shorten", help="divisor to shorten by, or 'max'",
+                       type=_option(lambda text: text if text == "max" else parse_int(text)))
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_enum = sub.add_parser("enumerate", help="generate the full gradient table")
-    p_enum.add_argument("--max-generator", type=parse_int,
+    p_enum.add_argument("--max-generator", type=_option(parse_int),
                         default=enumeration.DEFAULT_MAX_GENERATOR)
-    p_enum.add_argument("--max-places", type=parse_int,
+    p_enum.add_argument("--max-places", type=_option(parse_int),
                         default=enumeration.DEFAULT_MAX_COL_I_PLACES,
                         help="cap on column-I sexagesimal places")
     p_enum.add_argument("--range", help="angle window in degrees, e.g. 44.7:44.8")
@@ -276,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convert)
 
     p_err = sub.add_parser("errors", help="explain the scribal errors")
-    p_err.add_argument("row", nargs="?", type=parse_int, help="tablet row (default: all)")
+    p_err.add_argument("row", nargs="?", type=_option(parse_int), help="tablet row (default: all)")
     p_err.set_defaults(func=_cmd_errors)
 
     p_cad = sub.add_parser("cadence", help="steady observation-clock arithmetic")
-    p_cad.add_argument("--steps", type=parse_int, default=25)
-    p_cad.add_argument("--seconds", type=parse_float, default=150.0)
+    p_cad.add_argument("--steps", type=_option(parse_int), default=25)
+    p_cad.add_argument("--seconds", type=_option(parse_float), default=150.0)
     p_cad.set_defaults(func=_cmd_cadence)
     return parser
 

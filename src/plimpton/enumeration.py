@@ -25,9 +25,15 @@ pair x = p/q, with tan = (x - 1/x)/2 and sec = (x + 1/x)/2):
   the angle bounds by cross-multiplying with the bound's numerator and
   denominator.
 
-Only the pairs that pass get Fractions, column I and its digit count,
-which caps the rows; each kept row is stretched to its integer triple.
-Rows are sorted descending by column I like the tablet.
+Each pair that passes becomes a row from its primitive triple (w, d, b),
+the sides halved when p and q are both odd.  Everything up to the places
+cap is integer: column I = 3600 d^2 / b^2 has three integer places and,
+for b = 2^a2 3^a3 5^a5, max(a2 - 2, 2 a3 - 2, 2 a5 - 2) fractional ones,
+so a row over the cap is dropped before any Fraction is built.  Only a b
+dividing 60 leaves no fractional place; that column I is an integer whose
+trailing zero places are trimmed, so its digits are counted.  A kept row
+has X = b / gcd(b, 60) and sides (w, d, b) * 60 / gcd(b, 60).  Rows are
+sorted descending by column I like the tablet.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import regular_numbers
-from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of, stretch_to_integers
+from .numerics import factor_regular, regular_numbers
+from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of
 from .sexagesimal import from_rational
 from .tablet import load_dataset
 
@@ -113,7 +119,7 @@ def _ratio(tan: float) -> float:
 def _pair_sides(
     regs: list[int], lower: Fraction | None, upper: Fraction | None
 ) -> list[tuple[int, int, int]]:
-    """Unreduced sides (width, diagonal, base) of the pairs that can be rows.
+    """Primitive triples (width, diagonal, base) of the pairs that can be rows.
 
     Those are the coprime regular p > q with sec^2 < 60 and lower < tan < upper.
     """
@@ -135,28 +141,34 @@ def _pair_sides(
                         continue
                     if upper is not None and width * upper.denominator >= upper.numerator * base:
                         continue
-                    sides.append((width, diagonal, base))
+                    g = 1 + (p & q & 1)  # p, q both odd: every side is even
+                    sides.append((width // g, diagonal // g, base // g))
     return sides
+
+
+def _row(w: int, d: int, b: int, max_places: int) -> EnumeratedRow | None:
+    """Row of the primitive triple (w, d, b); None past max_places column-I places."""
+    f = factor_regular(b)
+    frac_places = max(f.e2 - 2, 2 * f.e3 - 2, 2 * f.e5 - 2)
+    if 3 + frac_places > max_places:
+        return None
+    k = 60 // math.gcd(b, 60)
+    sec_fv = Fraction(d, b)
+    tri = GradientTriangle(w * k, d * k, b * k, Fraction(w, b), sec_fv, b * k // 60)
+    col_i = col_i_of(sec_fv)
+    places = 3 + frac_places if frac_places > 0 else col_i_places_of(col_i)
+    return EnumeratedRow(tri, col_i, tri.angle_deg, places)
 
 
 def generate(config: EnumerationConfig = EnumerationConfig()) -> list[EnumeratedRow]:
     """All valid rows under the config, sorted descending by column I."""
     lower = _tan_bound(config.range_min_deg)
     upper = _tan_bound(config.range_max_deg) if config.range_max_deg is not None else None
-    rows = []
-    for width, diagonal, base in _pair_sides(regular_numbers(config.max_generator), lower, upper):
-        tan_fv = Fraction(width, base)
-        sec_fv = Fraction(diagonal, base)
-        col_i = col_i_of(sec_fv)
-        places = col_i_places_of(col_i)
-        if places > config.max_col_i_places:
-            continue
-        tri = stretch_to_integers(tan_fv, sec_fv)
-        rows.append(EnumeratedRow(tri, col_i, tri.angle_deg, places))
+    triples = _pair_sides(regular_numbers(config.max_generator), lower, upper)
+    rows = [_row(w, d, b, config.max_col_i_places) for w, d, b in triples]
     if config.include_degenerate:
-        flat = GradientTriangle(0, 60, 60, Fraction(0), Fraction(1), 1)
-        col_i = col_i_of(flat.sec_fv)
-        rows.append(EnumeratedRow(flat, col_i, flat.angle_deg, col_i_places_of(col_i)))
+        rows.append(_row(0, 1, 1, config.max_col_i_places))
+    rows = [row for row in rows if row is not None]
     # float rounding never reverses an order, so only float ties compare Fractions
     rows.sort(key=lambda r: (float(r.col_i), r.col_i), reverse=True)
     return rows

@@ -72,15 +72,15 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def _strip_regular(n: int) -> tuple[int, int, int, int]:
-    """Divide out all factors 2, 3, 5; return (e2, e3, e5, leftover)."""
-    exponents = []
-    for p in (2, 3, 5):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        exponents.append(e)
-    return exponents[0], exponents[1], exponents[2], n
+    """Divide out all factors 2, 3, 5 of n >= 1; return (e2, e3, e5, leftover)."""
+    e2 = (n & -n).bit_length() - 1  # trailing zero bits
+    n >>= e2
+    e3 = e5 = 0
+    while n % 3 == 0:
+        n, e3 = n // 3, e3 + 1
+    while n % 5 == 0:
+        n, e5 = n // 5, e5 + 1
+    return e2, e3, e5, n
 
 
 def is_regular(n: int) -> bool:

@@ -98,7 +98,7 @@ def in_definition_range(arrow: ArrowValue) -> bool:
 
 def col_i_of(sec_fv: Fraction) -> Fraction:
     """The takiltum at the 60^2 power: (60 * sec)^2."""
-    return (60 * Fraction(sec_fv)) ** 2
+    return Fraction((60 * sec_fv.numerator) ** 2, sec_fv.denominator**2)
 
 
 def col0_to_col_i(arrow: ArrowValue) -> Fraction:

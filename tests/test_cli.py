@@ -255,6 +255,7 @@ class TestCadence:
         ("enumerate", "--max-generator", "1_000"),
         ("enumerate", "--range", "\u0664\u0664.7:44.8"),  # 44.7 in Arabic-Indic digits
         ("cadence", "--seconds", "1_50"),
+        ("reconstruct", "24.30", "--shorten="),
     ],
     ids=" ".join,
 )
@@ -263,6 +264,24 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+OPTION_TYPE_ERRORS = [
+    (("verify", "--line", "abc"), "argument --line: expected ASCII digits, got 'abc'"),
+    (("enumerate", "--max-places", "1_1"), "argument --max-places: expected ASCII digits, got '1_1'"),
+    (("reconstruct", "24.30", "--anchor=+1"), "argument --anchor: expected ASCII digits, got '+1'"),
+    (("cadence", "--seconds", "1_50"), "argument --seconds: expected an ASCII number, got '1_50'"),
+    (("reconstruct", "24.30", "--shorten="), "argument --shorten: expected ASCII digits, got ''"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", OPTION_TYPE_ERRORS, ids=[" ".join(argv) for argv, _ in OPTION_TYPE_ERRORS]
+)
+def test_option_type_errors_say_what_the_option_expects(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_help_still_exits_0(capsys):

@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from plimpton import enumeration, reconstruction, sexagesimal
 from plimpton.enumeration import (
     DEFAULT_MAX_COL_I_PLACES,
     DEFAULT_MAX_GENERATOR,
     EmptyInput,
     EnumerationConfig,
+    _row,
     cadence_map,
     col_i_places_of,
     gap_analysis,
     generate,
     tablet_positions,
 )
+from plimpton.numerics import regular_numbers
 
 # Golden values frozen from the standalone brute-force oracle
 # (scripts/oracle_counts.py) run before this module was written.
@@ -221,6 +224,46 @@ def test_large_caps_stay_strictly_ordered():
     values = [r.col_i for r in rows]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
+
+
+def test_closed_form_places_match_the_digit_count():
+    rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES))
+    assert len(rows) == 2635
+    assert all(r.col_i_places == col_i_places_of(r.col_i) for r in rows)
+
+
+def test_closed_form_places_for_every_regular_base():
+    # column I's places depend only on the reduced base b, given a diagonal
+    # coprime to it; the width does not enter them, so 0 stands in for it
+    bases_dividing_60 = []
+    for b in regular_numbers(10**4):
+        row = _row(0, b + 1, b, UNCAPPED_PLACES)
+        assert row.col_i_places == len(sexagesimal.from_rational(row.col_i).numeral), b
+        if 60 % b == 0:
+            bases_dividing_60.append(b)
+    assert bases_dividing_60 == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+
+
+def test_emit_counts_digits_only_for_bases_dividing_60(monkeypatch):
+    counted = []
+    original = sexagesimal.from_rational
+
+    def counting(value):
+        counted.append(value)
+        return original(value)
+
+    def refuse(*args):
+        raise AssertionError("generate stretched a row through the Fraction path")
+
+    for module in (enumeration, sexagesimal):
+        monkeypatch.setattr(module, "from_rational", counting)
+    for module in (enumeration, reconstruction):
+        monkeypatch.setattr(module, "stretch_to_integers", refuse, raising=False)
+    rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES))
+    # sec = d/b in lowest terms, so its denominator is the reduced base
+    expected = [r.col_i for r in rows if 60 % r.triangle.sec_fv.denominator == 0]
+    assert expected
+    assert sorted(counted) == sorted(expected)
 
 
 class TestGapAnalysis:

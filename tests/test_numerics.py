@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plimpton.enumeration import EnumerationConfig, generate
 from plimpton.numerics import (
     NotPerfectSquare,
     NotRegular,
@@ -16,6 +17,7 @@ from plimpton.numerics import (
     parse_fraction,
     parse_int,
     parse_signed_int,
+    _strip_regular,
     rational_sqrt_exact,
     regular_numbers,
 )
@@ -73,6 +75,24 @@ class TestFactorRegular:
         f = factor_regular(n)
         assert (f.e2, f.e3, f.e5) == (a, b, c)
         assert f.value == n
+
+
+def plain_strip(n: int) -> tuple[int, int, int, int]:
+    """Reference: divide out 2, 3 and 5 one factor at a time."""
+    exponents = []
+    for p in (2, 3, 5):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exponents.append(e)
+    return (*exponents, n)
+
+
+def test_strip_regular_matches_the_plain_loop():
+    rows = generate(EnumerationConfig(max_generator=10**12, max_col_i_places=1000))
+    for n in [*range(1, 5001), *(r.col_i.denominator for r in rows)]:
+        assert _strip_regular(n) == plain_strip(n), n
 
 
 def test_regular_numbers_prefix():
