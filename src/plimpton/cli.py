@@ -236,6 +236,15 @@ def _option(reader):
     return read
 
 
+_int, _signed_int, _float = map(_option, (parse_int, parse_signed_int, parse_float))
+
+
+def _shorten(text: str) -> int | str:
+    if text != "max" and not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits or 'max', got {text!r}")
+    return text if text == "max" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="plimpton",
@@ -253,22 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="reproduce the tablet from column 0")
     p_verify.add_argument("--use-inscribed", action="store_true",
                           help="compare against the inscribed (uncorrected) values")
-    p_verify.add_argument("--line", type=_option(parse_int), help="check a single line")
+    p_verify.add_argument("--line", type=_int, help="check a single line")
     p_verify.add_argument("--dataset", help="path to an alternative dataset file")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_rec = sub.add_parser("reconstruct", help="run the pipeline on one column-0 value")
     p_rec.add_argument("col0", help="dotted sexagesimal doubled-arrow value, e.g. 24.30")
-    p_rec.add_argument("--anchor", type=_option(parse_signed_int), default=0,
+    p_rec.add_argument("--anchor", type=_signed_int, default=0,
                        help="power of 60 of the leading digit (default 0)")
-    p_rec.add_argument("--shorten", help="divisor to shorten by, or 'max'",
-                       type=_option(lambda text: text if text == "max" else parse_int(text)))
+    p_rec.add_argument("--shorten", type=_shorten, help="divisor to shorten by, or 'max'")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_enum = sub.add_parser("enumerate", help="generate the full gradient table")
-    p_enum.add_argument("--max-generator", type=_option(parse_int),
+    p_enum.add_argument("--max-generator", type=_int,
                         default=enumeration.DEFAULT_MAX_GENERATOR)
-    p_enum.add_argument("--max-places", type=_option(parse_int),
+    p_enum.add_argument("--max-places", type=_int,
                         default=enumeration.DEFAULT_MAX_COL_I_PLACES,
                         help="cap on column-I sexagesimal places")
     p_enum.add_argument("--range", help="angle window in degrees, e.g. 44.7:44.8")
@@ -285,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=_cmd_convert)
 
     p_err = sub.add_parser("errors", help="explain the scribal errors")
-    p_err.add_argument("row", nargs="?", type=_option(parse_int), help="tablet row (default: all)")
+    p_err.add_argument("row", nargs="?", type=_int, help="tablet row (default: all)")
     p_err.set_defaults(func=_cmd_errors)
 
     p_cad = sub.add_parser("cadence", help="steady observation-clock arithmetic")
-    p_cad.add_argument("--steps", type=_option(parse_int), default=25)
-    p_cad.add_argument("--seconds", type=_option(parse_float), default=150.0)
+    p_cad.add_argument("--steps", type=_int, default=25)
+    p_cad.add_argument("--seconds", type=_float, default=150.0)
     p_cad.set_defaults(func=_cmd_cadence)
     return parser
 

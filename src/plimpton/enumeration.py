@@ -26,12 +26,9 @@ pair x = p/q, with tan = (x - 1/x)/2 and sec = (x + 1/x)/2):
   denominator.
 
 Each pair that passes becomes a row from its primitive triple (w, d, b),
-the sides halved when p and q are both odd.  Everything up to the places
-cap is integer: column I = 3600 d^2 / b^2 has three integer places and,
-for b = 2^a2 3^a3 5^a5, max(a2 - 2, 2 a3 - 2, 2 a5 - 2) fractional ones,
-so a row over the cap is dropped before any Fraction is built.  Only a b
-dividing 60 leaves no fractional place; that column I is an integer whose
-trailing zero places are trimmed, so its digits are counted.  A kept row
+the sides halved when p and q are both odd.  Column I = 3600 d^2 / b^2,
+with b = 2^a2 3^a3 5^a5, has 3 + max(a2 - 2, 2 a3 - 2, 2 a5 - 2) places,
+so the places cap drops a row before any Fraction is built.  A kept row
 has X = b / gcd(b, 60) and sides (w, d, b) * 60 / gcd(b, 60).  Rows are
 sorted descending by column I like the tablet.
 """
@@ -149,15 +146,13 @@ def _pair_sides(
 def _row(w: int, d: int, b: int, max_places: int) -> EnumeratedRow | None:
     """Row of the primitive triple (w, d, b); None past max_places column-I places."""
     f = factor_regular(b)
-    frac_places = max(f.e2 - 2, 2 * f.e3 - 2, 2 * f.e5 - 2)
-    if 3 + frac_places > max_places:
+    places = 3 + max(f.e2 - 2, 2 * f.e3 - 2, 2 * f.e5 - 2)
+    if places > max_places:
         return None
     k = 60 // math.gcd(b, 60)
     sec_fv = Fraction(d, b)
     tri = GradientTriangle(w * k, d * k, b * k, Fraction(w, b), sec_fv, b * k // 60)
-    col_i = col_i_of(sec_fv)
-    places = 3 + frac_places if frac_places > 0 else col_i_places_of(col_i)
-    return EnumeratedRow(tri, col_i, tri.angle_deg, places)
+    return EnumeratedRow(tri, col_i_of(sec_fv), tri.angle_deg, places)
 
 
 def generate(config: EnumerationConfig = EnumerationConfig()) -> list[EnumeratedRow]:
@@ -165,10 +160,9 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
     lower = _tan_bound(config.range_min_deg)
     upper = _tan_bound(config.range_max_deg) if config.range_max_deg is not None else None
     triples = _pair_sides(regular_numbers(config.max_generator), lower, upper)
-    rows = [_row(w, d, b, config.max_col_i_places) for w, d, b in triples]
     if config.include_degenerate:
-        rows.append(_row(0, 1, 1, config.max_col_i_places))
-    rows = [row for row in rows if row is not None]
+        triples.append((0, 1, 1))
+    rows = [row for w, d, b in triples if (row := _row(w, d, b, config.max_col_i_places))]
     # float rounding never reverses an order, so only float ties compare Fractions
     rows.sort(key=lambda r: (float(r.col_i), r.col_i), reverse=True)
     return rows

@@ -271,7 +271,8 @@ OPTION_TYPE_ERRORS = [
     (("enumerate", "--max-places", "1_1"), "argument --max-places: expected ASCII digits, got '1_1'"),
     (("reconstruct", "24.30", "--anchor=+1"), "argument --anchor: expected ASCII digits, got '+1'"),
     (("cadence", "--seconds", "1_50"), "argument --seconds: expected an ASCII number, got '1_50'"),
-    (("reconstruct", "24.30", "--shorten="), "argument --shorten: expected ASCII digits, got ''"),
+    (("reconstruct", "24.30", "--shorten="), "argument --shorten: expected ASCII digits or 'max', got ''"),
+    (("reconstruct", "24.30", "--shorten", "abc"), "argument --shorten: expected ASCII digits or 'max', got 'abc'"),
 ]
 
 

@@ -234,7 +234,8 @@ def test_closed_form_places_match_the_digit_count():
 
 def test_closed_form_places_for_every_regular_base():
     # column I's places depend only on the reduced base b, given a diagonal
-    # coprime to it; the width does not enter them, so 0 stands in for it
+    # coprime to it; the width does not enter them, so 0 stands in for it.
+    # A b dividing 60 makes column I an integer with trailing zeros trimmed.
     bases_dividing_60 = []
     for b in regular_numbers(10**4):
         row = _row(0, b + 1, b, UNCAPPED_PLACES)
@@ -244,26 +245,17 @@ def test_closed_form_places_for_every_regular_base():
     assert bases_dividing_60 == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 
-def test_emit_counts_digits_only_for_bases_dividing_60(monkeypatch):
-    counted = []
-    original = sexagesimal.from_rational
-
-    def counting(value):
-        counted.append(value)
-        return original(value)
-
+def test_emit_neither_counts_digits_nor_stretches(monkeypatch):
     def refuse(*args):
-        raise AssertionError("generate stretched a row through the Fraction path")
+        raise AssertionError("generate took the Fraction path")
 
     for module in (enumeration, sexagesimal):
-        monkeypatch.setattr(module, "from_rational", counting)
+        monkeypatch.setattr(module, "from_rational", refuse)
     for module in (enumeration, reconstruction):
         monkeypatch.setattr(module, "stretch_to_integers", refuse, raising=False)
-    rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES))
-    # sec = d/b in lowest terms, so its denominator is the reduced base
-    expected = [r.col_i for r in rows if 60 % r.triangle.sec_fv.denominator == 0]
-    assert expected
-    assert sorted(counted) == sorted(expected)
+    config = EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES,
+                               include_degenerate=True)
+    assert len(generate(config)) == 2636
 
 
 class TestGapAnalysis:
