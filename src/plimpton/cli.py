@@ -87,12 +87,7 @@ def _cmd_reconstruct(args) -> tuple[str, int]:
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
-    range_min, range_max = 0.0, None
-    if args.range:
-        lo, colon, hi = args.range.partition(":")
-        if not colon:
-            raise ValueError(f"--range needs LO:HI, got {args.range!r}")
-        range_min, range_max = parse_float(lo), parse_float(hi)
+    range_min, range_max = args.range or (0.0, None)
     config = enumeration.EnumerationConfig(
         max_generator=args.max_generator,
         max_col_i_places=args.max_places,
@@ -236,7 +231,15 @@ def _option(reader):
     return read
 
 
-_int, _signed_int, _float = map(_option, (parse_int, parse_signed_int, parse_float))
+def _parse_range(text: str) -> tuple[float, float]:
+    lo, _, hi = text.partition(":")  # no colon leaves hi empty, which parse_float refuses
+    try:
+        return parse_float(lo), parse_float(hi)
+    except ValueError:
+        raise ValueError(f"expected LO:HI in ASCII degrees, got {text!r}") from None
+
+
+_int, _signed_int, _float, _range = map(_option, (parse_int, parse_signed_int, parse_float, _parse_range))
 
 
 def _shorten(text: str) -> int | str:
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-places", type=_int,
                         default=enumeration.DEFAULT_MAX_COL_I_PLACES,
                         help="cap on column-I sexagesimal places")
-    p_enum.add_argument("--range", help="angle window in degrees, e.g. 44.7:44.8")
+    p_enum.add_argument("--range", type=_range, help="angle window in degrees, e.g. 44.7:44.8")
     p_enum.add_argument("--include-degenerate", action="store_true")
     p_enum.add_argument("--mark-tablet", action="store_true",
                         help="annotate the 15 tablet rows")

@@ -234,7 +234,9 @@ def cadence_map(count: int, seconds_per_step: float) -> CadenceMap:
 
 def tablet_positions(rows: list[EnumeratedRow]) -> list[int | None]:
     """Index of each tablet line's gradient inside an enumeration."""
-    dataset = load_dataset()
-    pairs = [(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    return [index.get((line.tan_fv, line.sec_fv)) for line in dataset.lines]
+    def key(tan: Fraction, sec: Fraction) -> tuple[int, int, int, int]:
+        # integer keys: hashing a Fraction costs a modular inverse
+        return tan.numerator, tan.denominator, sec.numerator, sec.denominator
+
+    index = {key(r.triangle.tan_fv, r.triangle.sec_fv): i for i, r in enumerate(rows)}
+    return [index.get(key(line.tan_fv, line.sec_fv)) for line in load_dataset().lines]

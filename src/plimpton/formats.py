@@ -5,6 +5,13 @@ sexagesimal values as dotted text, so every format round-trips the full
 row losslessly.  Human-facing decimal output may use the p-marker
 convention for repeating decimals ("1.983402p7" repeats the 7); machine
 fields never do.
+
+Records are built from integers.  Each dotted cell goes through the one
+digit path that from_rational and Sexagesimal.formatted share
+(sexagesimal.ratio_digits, then sexagesimal.dotted), and each "num/den"
+cell is 60 * value reduced through gcd(60, den), so no Fraction and no
+numeral object is made per cell.  Reading a record back makes one
+Fraction per function value, num / (60 * den).
 """
 
 from __future__ import annotations
@@ -12,12 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
-from .numerics import fraction_text, parse_float, parse_fraction, parse_int
+from .numerics import fraction_text, parse_float, parse_fraction, parse_int, parse_ratio
 from .reconstruction import GradientTriangle
-from .sexagesimal import from_rational
+from .sexagesimal import dotted, ratio_digits
 from .tablet import TabletLine
 
 ENUMERATION_COLUMNS = [
@@ -63,21 +71,34 @@ def decimal_with_period(value: Fraction) -> str:
     return f"{integer}.{head}p{cycle}"
 
 
+def _dotted(num: int, den: int) -> str:
+    """Dotted base-60 text of num/den: the digits of from_rational, without its objects."""
+    return dotted(ratio_digits(num, den)[0])
+
+
+def _times_60(num: int, den: int) -> tuple[int, int]:
+    """60 * num/den in lowest terms, for num/den in lowest terms."""
+    g = math.gcd(60, den)
+    return 60 // g * num, den // g
+
+
 def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | None = None) -> dict[str, str]:
     tri = row.triangle
-    two_p = 60 * (tri.sec_fv - 1)
+    tn, td = _times_60(tri.tan_fv.numerator, tri.tan_fv.denominator)
+    sn, sd = _times_60(tri.sec_fv.numerator, tri.sec_fv.denominator)
+    col_i = row.col_i
     return {
         "row": str(position),
-        "col0": str(from_rational(two_p).numeral),
-        "colI_sex": str(from_rational(row.col_i).numeral),
-        "colI_frac": fraction_text(row.col_i),
+        "col0": _dotted(sn - 60 * sd, sd),
+        "colI_sex": _dotted(col_i.numerator, col_i.denominator),
+        "colI_frac": fraction_text(col_i),
         "width": str(tri.width),
         "diagonal": str(tri.diagonal),
         "base": str(tri.base),
         "X": str(tri.stretch),
         "shorten_d": str(tri.shorten_divisor) if tri.shorten_divisor else "",
-        "bab_tan": fraction_text(60 * tri.tan_fv),
-        "bab_sec": fraction_text(60 * tri.sec_fv),
+        "bab_tan": f"{tn}/{td}",
+        "bab_sec": f"{sn}/{sd}",
         "angle_deg": repr(row.angle_deg),
         "colI_places": str(row.col_i_places),
         "tablet_line": str(tablet_line) if tablet_line is not None else "",
@@ -85,14 +106,14 @@ def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | Non
 
 
 def enumeration_from_record(record: dict[str, str]) -> EnumeratedRow:
-    tan_fv = parse_fraction(record["bab_tan"]) / 60
-    sec_fv = parse_fraction(record["bab_sec"]) / 60
+    tn, td = parse_ratio(record["bab_tan"])
+    sn, sd = parse_ratio(record["bab_sec"])
     tri = GradientTriangle(
         width=parse_int(record["width"]),
         diagonal=parse_int(record["diagonal"]),
         base=parse_int(record["base"]),
-        tan_fv=tan_fv,
-        sec_fv=sec_fv,
+        tan_fv=Fraction(tn, 60 * td),
+        sec_fv=Fraction(sn, 60 * sd),
         stretch=parse_int(record["X"]),
         shorten_divisor=parse_int(record["shorten_d"]) if record["shorten_d"] else None,
     )
@@ -109,9 +130,9 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
     pre_iii = str(line.pre_shortening[1]) if line.pre_shortening else ""
     return {
         "row": str(line.row),
-        "col0_sex": str(from_rational(line.col0).numeral),
+        "col0_sex": _dotted(line.col0.numerator, line.col0.denominator),
         "col0_frac": fraction_text(line.col0),
-        "colI_sex": str(from_rational(line.col_i).numeral),
+        "colI_sex": _dotted(line.col_i.numerator, line.col_i.denominator),
         "colI_frac": fraction_text(line.col_i),
         "colII_inscribed": str(line.col_ii_inscribed),
         "colII_corrected": str(line.col_ii_corrected),

@@ -9,9 +9,8 @@ integers whose reciprocals terminate in base 60.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class NotRegular(ValueError):
@@ -22,8 +21,7 @@ class NotPerfectSquare(ValueError):
     """An exact square root was requested of a non-square."""
 
 
-@dataclass(frozen=True)
-class RegularFactorization:
+class RegularFactorization(NamedTuple):
     """Exponents of 2, 3 and 5 for a regular integer."""
 
     e2: int
@@ -53,7 +51,10 @@ def parse_int(text: str) -> int:
 
 def parse_signed_int(text: str) -> int:
     """parse_int with an optional leading minus sign."""
-    return -parse_int(text[1:]) if text.startswith("-") else parse_int(text)
+    try:
+        return -parse_int(text[1:]) if text.startswith("-") else parse_int(text)
+    except ValueError:
+        raise ValueError(f"expected ASCII digits with an optional leading minus, got {text!r}") from None
 
 
 def parse_float(text: str) -> float:
@@ -63,12 +64,17 @@ def parse_float(text: str) -> float:
     return float(text)
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Read "num/den" text; the slash is required, even for integers."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The two integers of "num/den" text; the slash is required, even for integers."""
     num, slash, den = text.partition("/")
     if not slash:
         raise ValueError(f"expected num/den, got {text!r}")
-    return Fraction(parse_int(num), parse_int(den))
+    return parse_int(num), parse_int(den)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Read "num/den" text as a Fraction."""
+    return Fraction(*parse_ratio(text))
 
 
 def _strip_regular(n: int) -> tuple[int, int, int, int]:

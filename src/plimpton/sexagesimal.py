@@ -7,7 +7,9 @@ leading digit to a weight 60**exponent, which makes the value unique.
 
 Text form is dotted notation ("1.59.00.15").  Canonical formatting
 leaves the leading digit bare and zero-pads the rest to two characters;
-a strict mode pads everything for machine output.
+a strict mode pads everything for machine output.  ratio_digits and
+dotted are the one codec: from_rational, Sexagesimal.formatted and the
+table records all go through them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ def int_to_digits(n: int) -> Digits:
     while n:
         n, d = divmod(n, 60)
         digits.append(d)
-    return tuple(reversed(digits)) or (0,)
+    digits.reverse()
+    return tuple(digits) or (0,)
 
 
 def digits_to_int(digits: Digits) -> int:
@@ -53,6 +56,33 @@ def trim_digits(digits: Digits) -> Digits:
     while end > 1 and digits[end - 1] == 0:
         end -= 1
     return digits[:end]
+
+
+def ratio_digits(num: int, den: int) -> tuple[Digits, int]:
+    """Trimmed base-60 digits of num/den >= 0 and the exponent of the first digit.
+
+    den must be regular (NonTerminating otherwise); num/den need not be
+    reduced.  Digits come out 0..59 by construction.
+    """
+    if num == 0:
+        return (0,), 0
+    try:
+        f = factor_regular(den)
+    except NotRegular as exc:
+        raise NonTerminating(f"denominator of {num}/{den} is not regular") from exc
+    frac_places = max((f.e2 + 1) // 2, f.e3, f.e5)
+    digits = int_to_digits(num * 60**frac_places // den)
+    return trim_digits(digits), len(digits) - 1 - frac_places
+
+
+_DOT_DIGIT = tuple(f".{d:02d}" for d in range(60))
+
+
+def dotted(digits: Digits, strict: bool = False) -> str:
+    """Dotted text of digits 0..59; strict pads every digit to two characters."""
+    if strict:
+        return "".join([_DOT_DIGIT[d] for d in digits])[1:]
+    return str(digits[0]) + "".join([_DOT_DIGIT[d] for d in digits[1:]])
 
 
 @dataclass(frozen=True)
@@ -76,10 +106,7 @@ class Sexagesimal:
 
     def formatted(self, strict: bool = False) -> str:
         """Dotted text; strict pads every digit to two characters."""
-        if strict:
-            return ".".join(f"{d:02d}" for d in self.digits)
-        head, *tail = self.digits
-        return ".".join([str(head)] + [f"{d:02d}" for d in tail])
+        return dotted(self.digits, strict)
 
     def __str__(self) -> str:
         return self.formatted()
@@ -137,17 +164,8 @@ def from_rational(r: Fraction) -> AnchoredSexagesimal:
     r = Fraction(r)
     if r < 0:
         raise ValueError(f"negative values are not representable: {r}")
-    if r == 0:
-        return AnchoredSexagesimal(Sexagesimal((0,)), 0)
-    try:
-        f = factor_regular(r.denominator)
-    except NotRegular as exc:
-        raise NonTerminating(f"denominator of {r} is not regular") from exc
-    frac_places = max((f.e2 + 1) // 2, f.e3, f.e5)
-    scaled = r.numerator * 60**frac_places // r.denominator
-    digits = int_to_digits(scaled)
-    exponent = len(digits) - 1 - frac_places
-    return AnchoredSexagesimal(Sexagesimal(trim_digits(digits)), exponent)
+    digits, exponent = ratio_digits(r.numerator, r.denominator)
+    return AnchoredSexagesimal(Sexagesimal(digits), exponent)
 
 
 def reciprocal(numeral: Sexagesimal, exponent: int) -> AnchoredSexagesimal:

@@ -117,7 +117,7 @@ class TestEnumerate:
     def test_range_needs_lo_hi(self, capsys):
         code, _, err = run(capsys, "enumerate", "--range", "5")
         assert code == 2
-        assert "--range needs LO:HI" in err
+        assert err == "error: argument --range: expected LO:HI in ASCII degrees, got '5'\n"
 
     def test_max_places_cap(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-places", "4")
@@ -269,7 +269,14 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
 OPTION_TYPE_ERRORS = [
     (("verify", "--line", "abc"), "argument --line: expected ASCII digits, got 'abc'"),
     (("enumerate", "--max-places", "1_1"), "argument --max-places: expected ASCII digits, got '1_1'"),
-    (("reconstruct", "24.30", "--anchor=+1"), "argument --anchor: expected ASCII digits, got '+1'"),
+    (("reconstruct", "24.30", "--anchor=+1"),
+     "argument --anchor: expected ASCII digits with an optional leading minus, got '+1'"),
+    (("reconstruct", "24.30", "--anchor=-x"),
+     "argument --anchor: expected ASCII digits with an optional leading minus, got '-x'"),
+    (("reconstruct", "24.30", "--anchor=--1"),
+     "argument --anchor: expected ASCII digits with an optional leading minus, got '--1'"),
+    (("enumerate", "--range", "4x:5"), "argument --range: expected LO:HI in ASCII degrees, got '4x:5'"),
+    (("enumerate", "--range", "5"), "argument --range: expected LO:HI in ASCII degrees, got '5'"),
     (("cadence", "--seconds", "1_50"), "argument --seconds: expected an ASCII number, got '1_50'"),
     (("reconstruct", "24.30", "--shorten="), "argument --shorten: expected ASCII digits or 'max', got ''"),
     (("reconstruct", "24.30", "--shorten", "abc"), "argument --shorten: expected ASCII digits or 'max', got 'abc'"),

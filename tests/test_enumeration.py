@@ -20,6 +20,7 @@ from plimpton.enumeration import (
     tablet_positions,
 )
 from plimpton.numerics import regular_numbers
+from plimpton.tablet import load_dataset
 
 # Golden values frozen from the standalone brute-force oracle
 # (scripts/oracle_counts.py) run before this module was written.
@@ -320,3 +321,20 @@ def test_config_validation():
             EnumerationConfig(range_min_deg=lo, range_max_deg=hi)
     with pytest.raises(ValueError):
         EnumerationConfig(max_generator=1)
+
+
+def fraction_keyed_positions(rows):
+    """tablet_positions keyed on the Fraction pair, as it was before integer keys."""
+    index = {(r.triangle.tan_fv, r.triangle.sec_fv): i for i, r in enumerate(rows)}
+    return [index.get((line.tan_fv, line.sec_fv)) for line in load_dataset().lines]
+
+
+@pytest.mark.parametrize("config", [
+    EnumerationConfig(),
+    EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES, include_degenerate=True),
+], ids=["defaults", "1e9-uncapped"])
+def test_integer_keyed_positions_match_fraction_keys(config):
+    rows = generate(config)
+    positions = tablet_positions(rows)
+    assert positions == fraction_keyed_positions(rows)
+    assert None not in positions

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from plimpton import formats
-from plimpton.enumeration import EnumerationConfig, generate
+from plimpton import formats, sexagesimal
+from plimpton.enumeration import EnumerationConfig, generate, tablet_positions
+from plimpton.numerics import fraction_text
+from plimpton.sexagesimal import from_rational
 from plimpton.tablet import load_dataset
 
 
@@ -111,3 +113,67 @@ def test_record_integers_are_ascii_digits(sample_records, lines, cell):
         formats.enumeration_from_record(dict(sample_records[0], width=cell))
     with pytest.raises(ValueError, match="ASCII digits"):
         formats.tablet_from_record(dict(formats.tablet_record(lines[10]), colII_corrected=cell))
+
+
+def reference_record(row, position, tablet_line=None):
+    """An enumeration record built through from_rational and Fraction products."""
+    tri = row.triangle
+    return {
+        "row": str(position),
+        "col0": str(from_rational(60 * (tri.sec_fv - 1)).numeral),
+        "colI_sex": str(from_rational(row.col_i).numeral),
+        "colI_frac": fraction_text(row.col_i),
+        "width": str(tri.width),
+        "diagonal": str(tri.diagonal),
+        "base": str(tri.base),
+        "X": str(tri.stretch),
+        "shorten_d": str(tri.shorten_divisor) if tri.shorten_divisor else "",
+        "bab_tan": fraction_text(60 * tri.tan_fv),
+        "bab_sec": fraction_text(60 * tri.sec_fv),
+        "angle_deg": repr(row.angle_deg),
+        "colI_places": str(row.col_i_places),
+        "tablet_line": str(tablet_line) if tablet_line is not None else "",
+    }
+
+
+RECORD_CONFIGS = {
+    "1e12-uncapped-degenerate": EnumerationConfig(
+        max_generator=10**12, max_col_i_places=1000, include_degenerate=True),
+    "1e12-places-9": EnumerationConfig(max_generator=10**12, max_col_i_places=9),
+    "1e12-places-11": EnumerationConfig(max_generator=10**12, max_col_i_places=11),
+    "1e12-window-44.5-45": EnumerationConfig(
+        max_generator=10**12, max_col_i_places=1000, range_min_deg=44.5, range_max_deg=45.0),
+}
+
+
+@pytest.mark.parametrize("config", RECORD_CONFIGS.values(), ids=RECORD_CONFIGS)
+def test_integer_records_equal_the_fraction_records(config):
+    rows = generate(config)
+    assert rows
+    marks = {p: line for line, p in enumerate(tablet_positions(rows), start=1) if p is not None}
+    for i, row in enumerate(rows):
+        assert formats.enumeration_record(row, i + 1, marks.get(i)) == reference_record(
+            row, i + 1, marks.get(i))
+    back = [formats.enumeration_from_record(formats.enumeration_record(r, 1)) for r in rows]
+    assert back == rows
+
+
+def test_integer_tablet_records_equal_the_fraction_records(lines):
+    for line in lines:
+        record = formats.tablet_record(line)
+        assert record["col0_sex"] == str(from_rational(line.col0).numeral)
+        assert record["colI_sex"] == str(from_rational(line.col_i).numeral)
+
+
+def test_records_build_no_numeral_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the record took the Fraction path")
+
+    for module in (formats, sexagesimal):
+        monkeypatch.setattr(module, "from_rational", refuse, raising=False)
+    monkeypatch.setattr(sexagesimal.Sexagesimal, "__post_init__", refuse)
+    rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=1000,
+                                      include_degenerate=True))
+    records = [formats.enumeration_record(r, i + 1) for i, r in enumerate(rows)]
+    text = formats.render(records, formats.ENUMERATION_COLUMNS, "csv")
+    assert len(formats.parse_table(text, "csv")) == len(rows) == 2636

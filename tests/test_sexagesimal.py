@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from plimpton.sexagesimal import (
     NonTerminating,
     ParseError,
     Sexagesimal,
+    dotted,
     from_rational,
     parse,
+    ratio_digits,
     reciprocal,
     to_rational,
 )
+from plimpton.numerics import regular_numbers
 
 digit_lists = st.lists(st.integers(min_value=0, max_value=59), min_size=1, max_size=8).filter(
     lambda ds: ds[0] != 0 or len(ds) == 1
@@ -121,6 +125,44 @@ class TestFromRational:
             assert back.value == 0
         else:
             assert back == anchored
+
+
+def _old_text(digits, strict=False):
+    """Dotted text as Sexagesimal.formatted built it before the shared helper."""
+    if strict:
+        return ".".join(f"{d:02d}" for d in digits)
+    head, *tail = digits
+    return ".".join([str(head)] + [f"{d:02d}" for d in tail])
+
+
+_numerators = random.Random(60)
+CODEC_NUMERATORS = (
+    [_numerators.randrange(1, 10**15) for _ in range(12)]
+    + [1, 59, 60, 3600, 7 * 60**3, 59 * 60**5 + 60**2]  # trailing zero places
+)
+
+
+def test_digit_helper_is_the_codec_of_from_rational():
+    # every regular denominator up to 10^4, reduced or not against the numerator
+    for den in regular_numbers(10**4):
+        for num in CODEC_NUMERATORS:
+            digits, exponent = ratio_digits(num, den)
+            anchored = from_rational(Fraction(num, den))
+            assert (digits, exponent) == (anchored.numeral.digits, anchored.exponent), (num, den)
+            assert to_rational(AnchoredSexagesimal(Sexagesimal(digits), exponent)) == Fraction(num, den)
+            assert len(digits) == 1 or digits[-1] != 0
+            assert dotted(digits) == str(anchored.numeral) == _old_text(digits)
+            assert dotted(digits, strict=True) == anchored.formatted(strict=True) == _old_text(digits, True)
+
+
+def test_digit_helper_on_zero_and_whole_numbers():
+    assert ratio_digits(0, 1) == ratio_digits(0, 7) == ((0,), 0)
+    assert dotted((0,)) == str(from_rational(Fraction(0)).numeral) == "0"
+    for num, digits, exponent in [(60, (1,), 1), (3600 * 59 + 60, (59, 1), 2), (7 * 60**3, (7,), 3)]:
+        assert ratio_digits(num, 1) == (digits, exponent)
+        assert dotted(digits) == str(from_rational(Fraction(num)).numeral)
+    with pytest.raises(NonTerminating):
+        ratio_digits(1, 7)
 
 
 class TestReciprocal:
