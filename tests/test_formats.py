@@ -158,13 +158,6 @@ def test_integer_records_equal_the_fraction_records(config):
     assert back == rows
 
 
-def test_integer_tablet_records_equal_the_fraction_records(lines):
-    for line in lines:
-        record = formats.tablet_record(line)
-        assert record["col0_sex"] == str(from_rational(line.col0).numeral)
-        assert record["colI_sex"] == str(from_rational(line.col_i).numeral)
-
-
 def test_records_build_no_numeral_objects(monkeypatch):
     def refuse(*args):
         raise AssertionError("the record took the Fraction path")

@@ -138,7 +138,7 @@ def _old_text(digits, strict=False):
 _numerators = random.Random(60)
 CODEC_NUMERATORS = (
     [_numerators.randrange(1, 10**15) for _ in range(12)]
-    + [1, 59, 60, 3600, 7 * 60**3, 59 * 60**5 + 60**2]  # trailing zero places
+    + [0, 1, 59, 60, 3600, 7 * 60**3, 59 * 60**5 + 60**2]  # zero, trailing zero places
 )
 
 
@@ -153,16 +153,6 @@ def test_digit_helper_is_the_codec_of_from_rational():
             assert len(digits) == 1 or digits[-1] != 0
             assert dotted(digits) == str(anchored.numeral) == _old_text(digits)
             assert dotted(digits, strict=True) == anchored.formatted(strict=True) == _old_text(digits, True)
-
-
-def test_digit_helper_on_zero_and_whole_numbers():
-    assert ratio_digits(0, 1) == ratio_digits(0, 7) == ((0,), 0)
-    assert dotted((0,)) == str(from_rational(Fraction(0)).numeral) == "0"
-    for num, digits, exponent in [(60, (1,), 1), (3600 * 59 + 60, (59, 1), 2), (7 * 60**3, (7,), 3)]:
-        assert ratio_digits(num, 1) == (digits, exponent)
-        assert dotted(digits) == str(from_rational(Fraction(num)).numeral)
-    with pytest.raises(NonTerminating):
-        ratio_digits(1, 7)
 
 
 class TestReciprocal:
