@@ -171,23 +171,14 @@ def _cmd_errors(args) -> tuple[str, int]:
     if args.row is None:
         reports = [r for r in reports if r.explanations or r.unexplained]
     if args.format == "json":
+        # every field of the report and its hypotheses, in field order, as text
         payload = [
             {
-                "row": r.row,
-                "column": r.column,
+                **r._asdict(),
                 "inscribed": str(r.inscribed) if r.inscribed else None,
                 "corrected": str(r.corrected) if r.corrected else None,
                 "explanations": [scribal.chain_label(c) for c in r.explanations],
-                "hypotheses": [
-                    {
-                        "label": h.label,
-                        "chain": scribal.chain_label(h.chain),
-                        "reproduces": h.reproduces,
-                        "rejected": h.rejected,
-                    }
-                    for h in r.hypotheses
-                ],
-                "unexplained": r.unexplained,
+                "hypotheses": [{**h._asdict(), "chain": scribal.chain_label(h.chain)} for h in r.hypotheses],
             }
             for r in reports
         ]

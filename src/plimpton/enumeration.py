@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .numerics import factor_regular, regular_numbers
+from .numerics import Validated, factor_regular, regular_numbers
 from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of
 from .sexagesimal import from_rational
 from .tablet import load_dataset
@@ -58,17 +58,20 @@ class EmptyInput(ValueError):
     """An operation needs at least one row."""
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
-    """Caps and filters for the exhaustive table."""
-
+class _Config(NamedTuple):
     max_generator: int = DEFAULT_MAX_GENERATOR
     max_col_i_places: int = DEFAULT_MAX_COL_I_PLACES
     range_min_deg: float = 0.0
     range_max_deg: float | None = None  # None: the exact sec^2 < 60 bound
     include_degenerate: bool = False
 
-    def __post_init__(self):
+
+class EnumerationConfig(Validated, _Config):
+    """Caps and filters for the exhaustive table."""
+
+    __slots__ = ()
+
+    def _validate(self):
         if self.max_generator < 2:
             raise ValueError("max_generator must be at least 2")
         if self.max_col_i_places < 4:
@@ -78,8 +81,7 @@ class EnumerationConfig:
             raise ValueError(f"angle window {self.range_min_deg}:{hi} is not inside 0 <= lo < hi <= 90")
 
 
-@dataclass(frozen=True)
-class EnumeratedRow:
+class EnumeratedRow(NamedTuple):
     """One table row: the triangle plus its column-I bookkeeping."""
 
     triangle: GradientTriangle
@@ -168,8 +170,7 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
     return rows
 
 
-@dataclass(frozen=True)
-class GapSummary:
+class GapSummary(NamedTuple):
     """Spacing statistics over consecutive rows, in arc-minutes."""
 
     count: int
@@ -210,8 +211,7 @@ def gap_analysis(
     return gaps, summary
 
 
-@dataclass(frozen=True)
-class CadenceMap:
+class CadenceMap(NamedTuple):
     """Rows against a steady observation clock."""
 
     entries: tuple[tuple[int, float], ...]  # (row position, elapsed seconds)

@@ -21,6 +21,21 @@ class NotPerfectSquare(ValueError):
     """An exact square root was requested of a non-square."""
 
 
+class Validated:
+    """Base for a NamedTuple subclass whose instances pass self._validate() when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # NamedTuple's own, which _replace calls, skips __new__
+        return cls(*fields)
+
+
 class RegularFactorization(NamedTuple):
     """Exponents of 2, 3 and 5 for a regular integer."""
 
@@ -36,6 +51,17 @@ class RegularFactorization(NamedTuple):
 def fraction_text(value: Fraction) -> str:
     """Exact "num/den" text of a rational; parse_fraction reads it back."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def brief(value: int | Fraction) -> str:
+    """Exact text of a value up to 2^64 a side, else ~m.mme+N: error text at any size."""
+    value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if abs(num) < 2**64 and den < 2**64:
+        return str(value)
+    exponent = math.log10(abs(num)) - math.log10(den)
+    mantissa, shift = f"{10 ** (exponent % 1):.2e}".split("e")  # shift is 1 when it rounds to 10
+    return f"~{'-' if num < 0 else ''}{mantissa}e{math.floor(exponent) + int(shift):+d}"
 
 
 def parse_int(text: str) -> int:
@@ -69,7 +95,10 @@ def parse_ratio(text: str) -> tuple[int, int]:
     num, slash, den = text.partition("/")
     if not slash:
         raise ValueError(f"expected num/den, got {text!r}")
-    return parse_int(num), parse_int(den)
+    num, den = parse_int(num), parse_int(den)
+    if den == 0:
+        raise ValueError(f"expected num/den with a non-zero denominator, got {text!r}")
+    return num, den
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -130,10 +159,10 @@ def isqrt_exact(n: int) -> int:
     no false positives no matter how large n gets.
     """
     if n < 0:
-        raise NotPerfectSquare(f"{n} is negative")
+        raise NotPerfectSquare(f"{brief(n)} is negative")
     root = math.isqrt(n)
     if root * root != n:
-        raise NotPerfectSquare(f"{n} is not a perfect square")
+        raise NotPerfectSquare(f"{brief(n)} is not a perfect square")
     return root
 
 
@@ -144,7 +173,7 @@ def rational_sqrt_exact(r: Fraction) -> Fraction:
     either the reduced numerator or denominator is not a square.
     """
     if r < 0:
-        raise NotPerfectSquare(f"{r} is negative")
+        raise NotPerfectSquare(f"{brief(r)} is negative")
     return Fraction(isqrt_exact(r.numerator), isqrt_exact(r.denominator))
 
 

@@ -15,10 +15,10 @@ reported angle, never in the pipeline itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
-from .numerics import least_integer_multiplier, rational_sqrt_exact
+from .numerics import Validated, brief, least_integer_multiplier, rational_sqrt_exact
 from .sexagesimal import AnchoredSexagesimal, to_rational
 from .tablet import TabletDataset, TabletLine
 from .trig import gradient_angle_deg
@@ -42,13 +42,12 @@ class InconsistentTriangle(ValueError):
     """A gradient triangle whose sides and function values disagree."""
 
 
-@dataclass(frozen=True)
-class ArrowValue:
+class ArrowValue(Validated, NamedTuple("ArrowValue", [("two_p", Fraction)])):
     """The doubled arrow (exsecant) at the tablet's x60 scale."""
 
-    two_p: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if self.two_p < 0:
             raise ValueError(f"arrow value must be non-negative, got {self.two_p}")
 
@@ -57,8 +56,7 @@ class ArrowValue:
         return 1 + Fraction(self.two_p) / 60
 
 
-@dataclass(frozen=True)
-class GradientTriangle:
+class GradientTriangle(NamedTuple):
     """An integer gradient triangle with its exact function values."""
 
     width: int
@@ -104,7 +102,7 @@ def col_i_of(sec_fv: Fraction) -> Fraction:
 def col0_to_col_i(arrow: ArrowValue) -> Fraction:
     """Add 60 to the doubled arrow and square: the takiltum at 60^2."""
     if not in_definition_range(arrow):
-        raise OutOfDefinitionRange(f"sec^2 = {arrow.sec_fv**2} is not below {SEC_SQUARED_LIMIT}")
+        raise OutOfDefinitionRange(f"sec^2 = {brief(arrow.sec_fv**2)} is not below {SEC_SQUARED_LIMIT}")
     return col_i_of(arrow.sec_fv)
 
 
@@ -156,8 +154,7 @@ def shorten(tri: GradientTriangle, d: int) -> GradientTriangle:
         raise ValueError(f"divisor must be positive, got {d}")
     if tri.width % d or tri.diagonal % d or tri.base % d:
         raise NotDivisible(f"{d} does not divide all of {tri.triple}")
-    return replace(
-        tri,
+    return tri._replace(
         width=tri.width // d,
         diagonal=tri.diagonal // d,
         base=tri.base // d,
@@ -240,8 +237,7 @@ def definition_range_report() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class LineCheck:
+class LineCheck(NamedTuple):
     """Recomputation result for one tablet line."""
 
     row: int
@@ -252,8 +248,7 @@ class LineCheck:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-line pass/fail for the whole tablet."""
 
     checks: tuple[LineCheck, ...]

@@ -17,17 +17,10 @@ chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .sexagesimal import (
-    Digits,
-    Sexagesimal,
-    digits_to_int,
-    from_rational,
-    int_to_digits,
-    trim_digits,
-)
+from .sexagesimal import Digits, Sexagesimal, digits_to_int, from_rational, int_to_digits, trim_digits
 from .tablet import RowOutOfRange, TabletLine, load_dataset
 
 
@@ -35,159 +28,152 @@ class MechanismInapplicable(ValueError):
     """The mechanism's precondition fails on this digit sequence."""
 
 
-@dataclass(frozen=True)
-class MisreadFinalFiveAsTwo:
+def _misread_final_five(digits: Digits, line: TabletLine) -> Digits:
     """A final 5 taken for a 2 (both signs drawn with two verticals)."""
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        if digits[-1] != 5:
-            raise MechanismInapplicable("last digit is not 5")
-        return digits[:-1] + (2,)
-
-    def label(self) -> str:
-        return "misread final 5 as 2"
+    if digits[-1] != 5:
+        raise MechanismInapplicable("last digit is not 5")
+    return digits[:-1] + (2,)
 
 
-@dataclass(frozen=True)
-class TransposeDigits:
+def _transpose(digits: Digits, line: TabletLine, i: int, j: int) -> Digits:
     """Swap two adjacent written decimal digits (e.g. 42 read as 24).
 
     Positions index the concatenated decimal rendering of the numeral
     ("6.42.2" flattens to 6422); after the swap the string is re-split
     with the original token lengths.
     """
-
-    i: int
-    j: int
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        tokens = [str(d) for d in digits]
-        flat = "".join(tokens)
-        if not (1 <= self.i < self.j <= len(flat)) or self.j != self.i + 1:
-            raise MechanismInapplicable(f"positions {self.i},{self.j} out of range")
-        chars = list(flat)
-        chars[self.i - 1], chars[self.j - 1] = chars[self.j - 1], chars[self.i - 1]
-        out = []
-        pos = 0
-        for token in tokens:
-            piece = "".join(chars[pos : pos + len(token)])
-            pos += len(token)
-            value = int(piece)
-            if value > 59:
-                raise MechanismInapplicable(f"twisted place {piece} exceeds 59")
-            out.append(value)
-        if tuple(out) == digits:
-            raise MechanismInapplicable("swap changes nothing")
-        if out[0] == 0 and len(out) > 1:
-            raise MechanismInapplicable("twist would create a leading zero")
-        return tuple(out)
-
-    def label(self) -> str:
-        return f"transpose written digits {self.i},{self.j}"
+    tokens = [str(d) for d in digits]
+    flat = "".join(tokens)
+    if not (1 <= i < j <= len(flat)) or j != i + 1:
+        raise MechanismInapplicable(f"positions {i},{j} out of range")
+    chars = list(flat)
+    chars[i - 1], chars[j - 1] = chars[j - 1], chars[i - 1]
+    out = []
+    pos = 0
+    for token in tokens:
+        piece = "".join(chars[pos : pos + len(token)])
+        pos += len(token)
+        value = int(piece)
+        if value > 59:
+            raise MechanismInapplicable(f"twisted place {piece} exceeds 59")
+        out.append(value)
+    if tuple(out) == digits:
+        raise MechanismInapplicable("swap changes nothing")
+    if out[0] == 0 and len(out) > 1:
+        raise MechanismInapplicable("twist would create a leading zero")
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class HalveDigits:
+def _halve(digits: Digits, line: TabletLine) -> Digits:
     """Halve the value in floating form (an odd value gains a place)."""
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        value = digits_to_int(digits)
-        if value % 2 == 0:
-            return trim_digits(int_to_digits(value // 2))
-        return trim_digits(int_to_digits(value * 30))
-
-    def label(self) -> str:
-        return "halve"
+    value = digits_to_int(digits)
+    if value % 2 == 0:
+        return trim_digits(int_to_digits(value // 2))
+    return trim_digits(int_to_digits(value * 30))
 
 
-@dataclass(frozen=True)
-class MergeAdjacentDigits:
+def _merge(digits: Digits, line: TabletLine, p: int) -> Digits:
     """Add two neighbouring places into one (45,14 collapsing to 59)."""
-
-    position: int
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        p = self.position
-        if not 1 <= p < len(digits):
-            raise MechanismInapplicable(f"no adjacent pair at {p}")
-        merged = digits[p - 1] + digits[p]
-        if merged > 59:
-            raise MechanismInapplicable(f"merged place {merged} exceeds 59")
-        return digits[: p - 1] + (merged,) + digits[p + 1 :]
-
-    def label(self) -> str:
-        return f"merge places {self.position},{self.position + 1}"
+    if not 1 <= p < len(digits):
+        raise MechanismInapplicable(f"no adjacent pair at {p}")
+    merged = digits[p - 1] + digits[p]
+    if merged > 59:
+        raise MechanismInapplicable(f"merged place {merged} exceeds 59")
+    return digits[: p - 1] + (merged,) + digits[p + 1 :]
 
 
-@dataclass(frozen=True)
-class DigitSlip:
+def _slip(digits: Digits, line: TabletLine, p: int, delta: int) -> Digits:
     """One place written off by a small amount (8 noted as 9)."""
-
-    position: int
-    delta: int
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        p = self.position
-        if not 1 <= p <= len(digits):
-            raise MechanismInapplicable(f"no place {p}")
-        slipped = digits[p - 1] + self.delta
-        if not 0 <= slipped <= 59:
-            raise MechanismInapplicable(f"slipped place {slipped} out of range")
-        if p == 1 and slipped == 0 and len(digits) > 1:
-            raise MechanismInapplicable("slip would create a leading zero")
-        return digits[: p - 1] + (slipped,) + digits[p :]
-
-    def label(self) -> str:
-        return f"slip place {self.position} by {self.delta:+d}"
+    if not 1 <= p <= len(digits):
+        raise MechanismInapplicable(f"no place {p}")
+    slipped = digits[p - 1] + delta
+    if not 0 <= slipped <= 59:
+        raise MechanismInapplicable(f"slipped place {slipped} out of range")
+    if p == 1 and slipped == 0 and len(digits) > 1:
+        raise MechanismInapplicable("slip would create a leading zero")
+    return digits[: p - 1] + (slipped,) + digits[p:]
 
 
-@dataclass(frozen=True)
-class MultiplyValueInsteadOfRoot:
+def _multiply_unrooted(digits: Digits, line: TabletLine, factor: int) -> Digits:
     """Stretch column I minus one itself, skipping the square root.
 
     The line-13 blunder: the scribe extended the takiltum remainder
     27.00.03.45 by the reciprocal 16 instead of rooting it first.
     Ignores the incoming digits; the input is the line's column I.
     """
+    remainder = line.col_i - 3600
+    if remainder <= 0:
+        raise MechanismInapplicable("column I has no remainder above 1")
+    return from_rational(Fraction(remainder * factor)).numeral.digits
 
-    factor: int
+
+def _shorten(digits: Digits, line: TabletLine, divisor: int) -> Digits:
+    """Divide the written value by the divisor; fails unless it divides it."""
+    value = digits_to_int(digits)
+    if divisor < 1 or value % divisor:
+        raise MechanismInapplicable(f"{divisor} does not divide {value}")
+    return trim_digits(int_to_digits(value // divisor))
+
+
+# kind: (apply, label); apply takes the digits, the line and then the
+# mechanism's arguments, label the arguments alone
+_KINDS = {
+    "MisreadFinalFiveAsTwo": (_misread_final_five, "misread final 5 as 2".format),
+    "TransposeDigits": (_transpose, "transpose written digits {},{}".format),
+    "HalveDigits": (_halve, "halve".format),
+    "MergeAdjacentDigits": (_merge, lambda p: f"merge places {p},{p + 1}"),
+    "DigitSlip": (_slip, "slip place {} by {:+d}".format),
+    "MultiplyValueInsteadOfRoot": (_multiply_unrooted, "multiply un-rooted column I by {}".format),
+    "ShortenWithDivisor": (_shorten, "shorten by {}".format),
+}
+
+
+class Mechanism(NamedTuple):
+    """One scribal mechanism: its kind, named after the constructor below, and its arguments.
+
+    The kind takes part in equality, so two kinds with equal arguments
+    stay apart in a set.
+    """
+
+    kind: str
+    args: tuple[int, ...]
 
     def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        remainder = line.col_i - 3600
-        if remainder <= 0:
-            raise MechanismInapplicable("column I has no remainder above 1")
-        product = remainder * self.factor
-        return from_rational(Fraction(product)).numeral.digits
+        """The digits after the mechanism; MechanismInapplicable if it cannot act."""
+        return _KINDS[self.kind][0](digits, line, *self.args)
 
     def label(self) -> str:
-        return f"multiply un-rooted column I by {self.factor}"
+        return _KINDS[self.kind][1](*self.args)
 
 
-@dataclass(frozen=True)
-class ShortenWithDivisor:
-    """Divide the written value by d; fails unless d divides it."""
-
-    divisor: int
-
-    def apply(self, digits: Digits, line: TabletLine) -> Digits:
-        value = digits_to_int(digits)
-        if self.divisor < 1 or value % self.divisor:
-            raise MechanismInapplicable(f"{self.divisor} does not divide {value}")
-        return trim_digits(int_to_digits(value // self.divisor))
-
-    def label(self) -> str:
-        return f"shorten by {self.divisor}"
+def MisreadFinalFiveAsTwo() -> Mechanism:
+    return Mechanism("MisreadFinalFiveAsTwo", ())
 
 
-Mechanism = (
-    MisreadFinalFiveAsTwo
-    | TransposeDigits
-    | HalveDigits
-    | MergeAdjacentDigits
-    | DigitSlip
-    | MultiplyValueInsteadOfRoot
-    | ShortenWithDivisor
-)
+def TransposeDigits(i: int, j: int) -> Mechanism:
+    return Mechanism("TransposeDigits", (i, j))
+
+
+def HalveDigits() -> Mechanism:
+    return Mechanism("HalveDigits", ())
+
+
+def MergeAdjacentDigits(position: int) -> Mechanism:
+    return Mechanism("MergeAdjacentDigits", (position,))
+
+
+def DigitSlip(position: int, delta: int) -> Mechanism:
+    return Mechanism("DigitSlip", (position, delta))
+
+
+def MultiplyValueInsteadOfRoot(factor: int) -> Mechanism:
+    return Mechanism("MultiplyValueInsteadOfRoot", (factor,))
+
+
+def ShortenWithDivisor(divisor: int) -> Mechanism:
+    return Mechanism("ShortenWithDivisor", (divisor,))
+
+
 Chain = tuple[Mechanism, ...]
 
 MAX_CHAIN_LENGTH = 3
@@ -226,9 +212,7 @@ def simulate(row: int, chain: Chain, column: str | None = None) -> Sexagesimal:
     if column is None:
         errata = dataset.errata_for(row)
         if not errata:
-            raise MechanismInapplicable(
-                f"row {row} has no erratum; pass a column to perturb"
-            )
+            raise MechanismInapplicable(f"row {row} has no erratum; pass a column to perturb")
         column = errata[0].column
     digits = _start_digits(line, column)
     for mechanism in chain:
@@ -249,14 +233,14 @@ def refute(row: int, chain: Chain, column: str | None = None) -> bool:
         return True
 
 
-def _candidate_mechanisms(digits: Digits, line: TabletLine) -> list[Mechanism]:
+def _candidate_mechanisms(places: int, flat_len: int, line: TabletLine) -> list[Mechanism]:
+    """Every mechanism to try on digits with this many places and written digits."""
     out: list[Mechanism] = [MisreadFinalFiveAsTwo(), HalveDigits()]
-    flat_len = sum(len(str(d)) for d in digits)
     out.extend(TransposeDigits(i, i + 1) for i in range(1, flat_len))
-    out.extend(MergeAdjacentDigits(p) for p in range(1, len(digits)))
+    out.extend(MergeAdjacentDigits(p) for p in range(1, places))
     out.extend(
         DigitSlip(p, delta)
-        for p in range(1, len(digits) + 1)
+        for p in range(1, places + 1)
         for delta in _SLIP_DELTAS
     )
     # the factor a scribe would reach for: the reciprocal of the common
@@ -268,8 +252,7 @@ def _candidate_mechanisms(digits: Digits, line: TabletLine) -> list[Mechanism]:
     return out
 
 
-@dataclass(frozen=True)
-class NamedHypothesis:
+class NamedHypothesis(NamedTuple):
     """A narrative chain registered for a row, with its outcome."""
 
     label: str
@@ -278,8 +261,7 @@ class NamedHypothesis:
     rejected: bool = False  # registered specifically as a ruled-out path
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Everything known about one row's inscribed-vs-corrected gap."""
 
     row: int
@@ -341,10 +323,14 @@ def classify(row: int) -> ErrorReport:
 
     frontier: list[tuple[Digits, Chain]] = [(start, ())]
     found: list[Chain] = []
+    candidates: dict[tuple[int, int], list[Mechanism]] = {}
     for _ in range(MAX_CHAIN_LENGTH):
         next_frontier = []
         for digits, chain in frontier:
-            for mechanism in _candidate_mechanisms(digits, line):
+            shape = (len(digits), sum(len(str(d)) for d in digits))
+            if shape not in candidates:
+                candidates[shape] = _candidate_mechanisms(*shape, line)
+            for mechanism in candidates[shape]:
                 try:
                     result = mechanism.apply(digits, line)
                 except MechanismInapplicable:

@@ -14,10 +14,10 @@ table records all go through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .numerics import NotRegular, factor_regular
+from .numerics import NotRegular, Validated, factor_regular
 
 Digits = tuple[int, ...]
 
@@ -85,13 +85,12 @@ def dotted(digits: Digits, strict: bool = False) -> str:
     return str(digits[0]) + "".join([_DOT_DIGIT[d] for d in digits[1:]])
 
 
-@dataclass(frozen=True)
-class Sexagesimal:
+class Sexagesimal(Validated, NamedTuple("Sexagesimal", [("digits", Digits)])):
     """A base-60 digit sequence, most significant digit first."""
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.digits:
             raise ParseError("a numeral needs at least one digit")
         if any(not 0 <= d <= 59 for d in self.digits):
@@ -115,8 +114,7 @@ class Sexagesimal:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class AnchoredSexagesimal:
+class AnchoredSexagesimal(NamedTuple):
     """A numeral whose leading digit sits at weight 60**exponent."""
 
     numeral: Sexagesimal

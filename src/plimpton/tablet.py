@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .numerics import parse_fraction, parse_int
+from .numerics import Validated, parse_fraction, parse_int
 from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse
 
 DATASET_ENV_VAR = "PLIMPTON322_DATASET"
@@ -43,8 +43,7 @@ class RowOutOfRange(ValueError):
     """Tablet rows are numbered 1 through 15."""
 
 
-@dataclass(frozen=True)
-class TabletLine:
+class TabletLine(NamedTuple):
     """One tablet line: reconstructed column 0 through column III.
 
     col0 is the doubled arrow value at the tablet's x60 scale; col_i is
@@ -89,25 +88,27 @@ class TabletLine:
         return from_rational(self.col_i)
 
 
-@dataclass(frozen=True)
-class ErratumRecord:
-    """An inscribed-vs-corrected discrepancy and its mechanism label."""
-
+class _Erratum(NamedTuple):
     row: int
     column: str  # "I", "II" or "III"
     inscribed: Sexagesimal
     corrected: Sexagesimal
     mechanism: str
 
-    def __post_init__(self):
+
+class ErratumRecord(Validated, _Erratum):
+    """An inscribed-vs-corrected discrepancy and its mechanism label."""
+
+    __slots__ = ()
+
+    def _validate(self):
         if self.inscribed == self.corrected:
             raise DatasetCorrupt(f"erratum row {self.row} has no discrepancy")
         if self.mechanism not in ERRATUM_MECHANISMS:
             raise DatasetCorrupt(f"unknown mechanism {self.mechanism!r}")
 
 
-@dataclass(frozen=True)
-class TabletDataset:
+class TabletDataset(NamedTuple):
     """All fifteen lines plus the erratum registry and annotations."""
 
     lines: tuple[TabletLine, ...]
@@ -251,15 +252,8 @@ def _parse_dataset(text: str) -> TabletDataset:
             fields = stripped.split("|")
             if len(fields) != 5:
                 raise DatasetCorrupt(f"erratum record has {len(fields)} fields")
-            errata.append(
-                ErratumRecord(
-                    row=parse_int(fields[0]),
-                    column=fields[1],
-                    inscribed=parse(fields[2]),
-                    corrected=parse(fields[3]),
-                    mechanism=fields[4],
-                )
-            )
+            row, column, inscribed, corrected, mechanism = fields
+            errata.append(ErratumRecord(parse_int(row), column, parse(inscribed), parse(corrected), mechanism))
         elif section == "[annotations]":
             key, _, value = stripped.partition("=")
             annotations[key] = value

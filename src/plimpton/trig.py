@@ -15,8 +15,8 @@ pairs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse, to_rational
 
@@ -36,8 +36,7 @@ def gradient_angle_deg(rise: int, run: int) -> float:
     return math.degrees(math.atan2(rise, run))
 
 
-@dataclass(frozen=True)
-class FunctionValueSet:
+class FunctionValueSet(NamedTuple):
     """Exact function values of one gradient, plus the reported angle."""
 
     tan_fv: Fraction

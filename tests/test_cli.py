@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plimpton
 from plimpton import formats, reconstruction
 from plimpton.cli import main
 from plimpton.numerics import parse_fraction
@@ -256,6 +261,9 @@ class TestCadence:
         ("enumerate", "--range", "\u0664\u0664.7:44.8"),  # 44.7 in Arabic-Indic digits
         ("cadence", "--seconds", "1_50"),
         ("reconstruct", "24.30", "--shorten="),
+        ("convert", "values", "3/4", "5/0"),
+        ("reconstruct", "24.30", "--anchor=-100000"),  # sec^2 - 1 of ~177,800 digits
+        ("reconstruct", "24.30", "--anchor", "400"),  # sec^2 of ~1,400 digits
     ],
     ids=" ".join,
 )
@@ -264,6 +272,33 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE_VALUE_ERRORS = [
+    (("convert", "values", "3/4", "5/0"),
+     "expected num/den with a non-zero denominator, got '5/0'"),
+    (("reconstruct", "24.30", "--anchor=-100000"), "~1.57e+177819 is not a perfect square"),
+    (("reconstruct", "24.30", "--anchor", "400"), "sec^2 = ~5.53e+1421 is not below 60"),
+    (("reconstruct", "59.59"), "38865601 is not a perfect square"),
+    (("reconstruct", "59.59", "--anchor", "1"), "sec^2 = 13388281/3600 is not below 60"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", HUGE_VALUE_ERRORS, ids=[" ".join(argv) for argv, _ in HUGE_VALUE_ERRORS]
+)
+def test_error_lines_stay_short_for_any_value_size(capsys, argv, message):
+    # values up to 2^64 a side print exactly, larger ones by magnitude
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_import_loads_no_dataclass_machinery():
+    env = dict(os.environ, PYTHONPATH=str(Path(plimpton.__file__).parents[1]))
+    code = "import sys, plimpton.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 OPTION_TYPE_ERRORS = [

@@ -164,7 +164,7 @@ def test_records_build_no_numeral_objects(monkeypatch):
 
     for module in (formats, sexagesimal):
         monkeypatch.setattr(module, "from_rational", refuse, raising=False)
-    monkeypatch.setattr(sexagesimal.Sexagesimal, "__post_init__", refuse)
+    monkeypatch.setattr(sexagesimal.Sexagesimal, "_validate", refuse)
     rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=1000,
                                       include_degenerate=True))
     records = [formats.enumeration_record(r, i + 1) for i, r in enumerate(rows)]

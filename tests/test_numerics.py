@@ -9,6 +9,7 @@ from plimpton.numerics import (
     NotPerfectSquare,
     NotRegular,
     RegularFactorization,
+    brief,
     factor_regular,
     is_regular,
     isqrt_exact,
@@ -124,6 +125,21 @@ class TestSqrtExact:
         with pytest.raises(NotPerfectSquare):
             isqrt_exact(10**18 + 1)
 
+    def test_message_of_a_huge_non_square_is_short(self):
+        # str() of an int past 4,300 digits raises, so the message must not need it
+        with pytest.raises(NotPerfectSquare, match=r"^~2\.00e\+6000 is not a perfect square$"):
+            isqrt_exact(2 * 10**6000)
+        with pytest.raises(NotPerfectSquare, match=r"^~-1\.00e\+5000 is negative$"):
+            isqrt_exact(-(10**5000))
+
+
+def test_brief_is_exact_up_to_2_64_a_side():
+    assert brief(2**64 - 1) == "18446744073709551615"
+    assert brief(Fraction(-2, 2**64 - 1)) == "-2/18446744073709551615"
+    assert brief(2**64) == "~1.84e+19"
+    assert brief(Fraction(1, 3 * 10**5000)) == "~3.33e-5001"
+    assert brief(Fraction(10**400 - 1)) == "~1.00e+400"  # a mantissa rounding up to 10
+
     @given(st.integers(min_value=0, max_value=10**12),
            st.integers(min_value=1, max_value=10**6))
     def test_round_trip(self, num, den):
@@ -204,3 +220,9 @@ class TestParseInt:
         for text in ("\u0663/\u0664", "3/\u0664", "1_5/4", "-3/4", "3 /4"):
             with pytest.raises(ValueError, match="ASCII digits"):
                 parse_fraction(text)
+
+    def test_zero_denominator_refused_with_the_text(self):
+        for text in ("5/0", "0/0", "1/000"):
+            with pytest.raises(ValueError) as exc:
+                parse_fraction(text)
+            assert str(exc.value) == f"expected num/den with a non-zero denominator, got {text!r}"

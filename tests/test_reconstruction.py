@@ -1,5 +1,4 @@
 import ast
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plimpton
+from plimpton.enumeration import EnumerationConfig
 from plimpton.numerics import NotPerfectSquare
 from plimpton.reconstruction import (
     ArrowValue,
@@ -28,6 +28,7 @@ from plimpton.reconstruction import (
     verify_all,
     verify_line,
 )
+from plimpton.sexagesimal import parse
 from plimpton.tablet import load_dataset
 
 
@@ -218,8 +219,7 @@ class TestVerifyAll:
         # line 5 with every checked value nudged: column I, the
         # pre-shortening pair, columns II and III and the base
         dataset = load_dataset()
-        line = replace(
-            dataset.get_line(5),
+        line = dataset.get_line(5)._replace(
             col_i=Fraction(235261, 36),
             pre_shortening=(326, 486),
             col_ii_corrected=66,
@@ -234,7 +234,7 @@ class TestVerifyAll:
             ("base", "72", "73"),
         )
         # line 2 with only the unshortened diagonal and the base nudged
-        line = replace(dataset.get_line(2), pre_shortening=(16835, 24126), base=3457)
+        line = dataset.get_line(2)._replace(pre_shortening=(16835, 24126), base=3457)
         assert verify_line(dataset, line).mismatches == (
             ("pre", "16835/24125", "16835/24126"),
             ("base", "3456", "3457"),
@@ -276,6 +276,32 @@ def test_gradient_triangle_check_catches_bad_triple():
     bad = GradientTriangle(45, 76, 60, Fraction(3, 4), Fraction(5, 4), 1)
     with pytest.raises(InconsistentTriangle):
         bad.check()
+
+
+def test_gradient_triangle_fields_are_read_only():
+    tri = GradientTriangle(45, 75, 60, Fraction(3, 4), Fraction(5, 4), 1)
+    with pytest.raises(AttributeError):
+        tri.width = 46
+    with pytest.raises(AttributeError):
+        tri.extra = 1
+    assert tri.width == 45
+
+
+@pytest.mark.parametrize(
+    "record, change",
+    [
+        (EnumerationConfig(), {"max_generator": 1}),
+        (ArrowValue(Fraction(1)), {"two_p": Fraction(-1)}),
+        (parse("1.2"), {"digits": (1, 60)}),
+        (load_dataset().errata[0], {"mechanism": "unknown"}),
+    ],
+    ids=["EnumerationConfig", "ArrowValue", "Sexagesimal", "ErratumRecord"],
+)
+def test_replace_on_a_validating_type_validates(record, change):
+    # NamedTuple's _replace builds through _make, which would skip __new__
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    assert type(record._replace()) is type(record) and record._replace() == record
 
 
 def test_no_invariant_rests_on_assert():

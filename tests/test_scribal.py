@@ -188,3 +188,24 @@ class TestMechanismEdgeCases:
         line11 = load_dataset().get_line(11)
         # line 11 has a remainder (0.5625 * 3600), so this applies
         assert quantity.apply((1,), line11)
+
+
+EQUAL_ARGUMENT_KINDS = [
+    ((HalveDigits, ()), (MisreadFinalFiveAsTwo, ())),
+    ((DigitSlip, (1, 2)), (TransposeDigits, (1, 2))),
+    ((MergeAdjacentDigits, (4,)), (ShortenWithDivisor, (4,))),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second", EQUAL_ARGUMENT_KINDS,
+    ids=[f"{a.__name__}-{b.__name__}" for (a, _), (b, _) in EQUAL_ARGUMENT_KINDS],
+)
+def test_kinds_with_equal_arguments_stay_apart(first, second):
+    # classify dedupes chains through a set, so the kind must take part
+    # in equality and hashing, and the same kind must still merge
+    (make_a, args_a), (make_b, args_b) = first, second
+    a, b = make_a(*args_a), make_b(*args_b)
+    assert a != b and a.args == b.args
+    assert len({a, b, make_a(*args_a), make_b(*args_b)}) == 2
+    assert len({(a, b), (make_a(*args_a), make_b(*args_b)), (b, a)}) == 2
