@@ -132,6 +132,13 @@ class TestSqrtExact:
         with pytest.raises(NotPerfectSquare, match=r"^~-1\.00e\+5000 is negative$"):
             isqrt_exact(-(10**5000))
 
+    @given(st.integers(min_value=0, max_value=10**12),
+           st.integers(min_value=1, max_value=10**6))
+    def test_round_trip(self, num, den):
+        r = Fraction(num, den) ** 2
+        root = rational_sqrt_exact(r)
+        assert root * root == r
+
 
 def test_brief_is_exact_up_to_2_64_a_side():
     assert brief(2**64 - 1) == "18446744073709551615"
@@ -139,13 +146,6 @@ def test_brief_is_exact_up_to_2_64_a_side():
     assert brief(2**64) == "~1.84e+19"
     assert brief(Fraction(1, 3 * 10**5000)) == "~3.33e-5001"
     assert brief(Fraction(10**400 - 1)) == "~1.00e+400"  # a mantissa rounding up to 10
-
-    @given(st.integers(min_value=0, max_value=10**12),
-           st.integers(min_value=1, max_value=10**6))
-    def test_round_trip(self, num, den):
-        r = Fraction(num, den) ** 2
-        root = rational_sqrt_exact(r)
-        assert root * root == r
 
 
 class TestLeastIntegerMultiplier:
