@@ -233,10 +233,11 @@ def _parse_range(text: str) -> tuple[float, float]:
 _int, _signed_int, _float, _range = map(_option, (parse_int, parse_signed_int, parse_float, _parse_range))
 
 
+@_option
 def _shorten(text: str) -> int | str:
     if text != "max" and not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected ASCII digits or 'max', got {text!r}")
-    return text if text == "max" else int(text)
+        raise ValueError(f"expected ASCII digits or 'max', got {text!r}")
+    return text if text == "max" else parse_int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

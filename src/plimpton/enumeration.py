@@ -8,22 +8,19 @@ value.  Pairs with p, q both odd are kept: they cover the gradients
 whose primitive triple has its odd leg as the base (the tablet's line
 15 is one), which opposite-parity pairs cannot reach.
 
-The walk visits only pairs that can become rows (Robson's reciprocal
-pair x = p/q, with tan = (x - 1/x)/2 and sec = (x + 1/x)/2):
-
-- Support groups.  The regulars are grouped by their prime support,
-  the set of primes in {2, 3, 5} dividing them.  Regular p and q are
-  coprime exactly when their supports do not overlap, so only such
-  groups are paired and no gcd is taken.
-- Ratio window.  sec^2 < 60 holds exactly when 1 < p/q < sqrt(60) +
-  sqrt(59) (about 15.43), and tan + sec = p/q rises with the angle, so
-  an angle window is a ratio window too.  For each q the sorted partner
-  groups are bisected to that window, widened by a small relative
-  slack so float rounding never drops a pair.
-- Exact integer tests.  Each pair inside the window is then tested
-  exactly on integers: sec^2 < 60 as (p^2 + q^2)^2 < 60 (2pq)^2, and
-  the angle bounds by cross-multiplying with the bound's numerator and
-  denominator.
+The walk runs over the exponent lattice of Robson's reciprocal pair
+x = p/q (tan = (x - 1/x)/2, sec = (x + 1/x)/2), not over the regulars.
+Coprime regular p > q match one-to-one the triples (a, j, k) with
+p/q = 2^a 3^j 5^k, positive exponents going to p and negative ones to
+q, so no gcd is taken.  j and k run over the powers of 3 and 5 up to
+the cap, keeping the cells whose p-part and q-part are both within it.
+sec^2 < 60 holds exactly when 1 < p/q < sqrt(60) + sqrt(59) (about
+15.43), and p/q = tan + sec rises with the angle, so an angle window is
+a ratio window too: in log2 units it gives each cell a float interval
+for a, widened by a fixed slack so rounding never drops a pair.  Each a
+gives one pair, tested exactly on integers: p > q, p <= cap, sec^2 < 60
+as (p^2 + q^2)^2 < 60 (2pq)^2, and the angle bounds by cross-multiplying
+with the bound's numerator and denominator.
 
 Each pair that passes becomes a row from its primitive triple (w, d, b),
 the sides halved when p and q are both odd.  Column I = 3600 d^2 / b^2,
@@ -36,11 +33,10 @@ sorted descending by column I like the tablet.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import Validated, factor_regular, regular_numbers
+from .numerics import Validated, factor_regular
 from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of
 from .sexagesimal import from_rational
 from .tablet import load_dataset
@@ -48,10 +44,9 @@ from .tablet import load_dataset
 DEFAULT_MAX_GENERATOR = 1000
 DEFAULT_MAX_COL_I_PLACES = 11
 
-# p/q at sec^2 = 60: the root of x + 1/x = 2 sqrt(60) above 1
-RATIO_LIMIT = math.sqrt(SEC_SQUARED_LIMIT) + math.sqrt(SEC_SQUARED_LIMIT - 1)
-# relative widening of the float ratio window; the exact tests decide
-RATIO_SLACK = 1e-9
+TAN_LIMIT = math.sqrt(SEC_SQUARED_LIMIT - 1)  # tan at sec^2 = 60, where p/q is about 15.43
+# widening of the float log2 ratio window; the exact tests decide
+LOG2_SLACK = 1e-9
 
 
 class EmptyInput(ValueError):
@@ -102,46 +97,45 @@ def _tan_bound(deg: float) -> Fraction | None:
     return Fraction(math.tan(math.radians(deg)))
 
 
-def _support_groups(regs: list[int]) -> list[list[int]]:
-    """Regulars split by prime support: bit 0, 1, 2 set when 2, 3, 5 divides."""
-    groups: list[list[int]] = [[] for _ in range(8)]
-    for n in regs:
-        groups[(n % 2 == 0) + 2 * (n % 3 == 0) + 4 * (n % 5 == 0)].append(n)
-    return groups
+def _signed_powers(base: int, cap: int) -> list[tuple[float, int, int]]:
+    """(e * log2(base), p-part, q-part) of base^e for every e with base^|e| <= cap."""
+    powers, n, e = [(0.0, 1, 1)], base, 1
+    while n <= cap:
+        powers += [(e * math.log2(base), n, 1), (-e * math.log2(base), 1, n)]
+        n, e = n * base, e + 1
+    return powers
 
 
-def _ratio(tan: float) -> float:
-    """p/q of the pair with this tan: tan + sec."""
-    return tan + math.sqrt(tan * tan + 1)
-
-
-def _pair_sides(
-    regs: list[int], lower: Fraction | None, upper: Fraction | None
-) -> list[tuple[int, int, int]]:
-    """Primitive triples (width, diagonal, base) of the pairs that can be rows.
-
-    Those are the coprime regular p > q with sec^2 < 60 and lower < tan < upper.
-    """
-    low = 1.0 if lower is None else _ratio(float(lower))
-    high = RATIO_LIMIT if upper is None else min(RATIO_LIMIT, _ratio(float(upper)))
-    low, high = low * (1 - RATIO_SLACK), high * (1 + RATIO_SLACK)
-    groups = _support_groups(regs)
+def _pair_sides(cap: int, lower: Fraction | None, upper: Fraction | None) -> list[tuple[int, int, int]]:
+    """Primitive (width, diagonal, base) of the coprime regular p > q, p <= cap, that can be rows."""
+    # log2(p/q) = log2(tan + sec) = asinh(tan) / ln 2 rises with the angle
+    low = math.asinh(lower or 0) / math.log(2) - LOG2_SLACK
+    high = math.asinh(TAN_LIMIT if upper is None else min(upper, TAN_LIMIT)) / math.log(2) + LOG2_SLACK
+    fives = _signed_powers(5, cap)
     sides = []
-    for support, qs in enumerate(groups):
-        partners = [ps for s, ps in enumerate(groups) if not s & support]
-        for q in qs:
-            p_low, p_high = max(q, q * low), q * high
-            for ps in partners:
-                for p in ps[bisect_right(ps, p_low) : bisect_left(ps, p_high)]:
-                    width, diagonal, base = p * p - q * q, p * p + q * q, 2 * p * q
-                    if diagonal * diagonal >= SEC_SQUARED_LIMIT * base * base:
-                        continue
-                    if lower is not None and width * lower.denominator <= lower.numerator * base:
-                        continue
-                    if upper is not None and width * upper.denominator >= upper.numerator * base:
-                        continue
-                    g = 1 + (p & q & 1)  # p, q both odd: every side is even
-                    sides.append((width // g, diagonal // g, base // g))
+    for shift3, p3, q3 in _signed_powers(3, cap):
+        low3, high3 = low - shift3, high - shift3
+        for shift5, p5, q5 in fives:
+            # p / q = 2^a p0 / q0 inside the window, with log2(p0 / q0) = shift3 + shift5
+            a, top = math.ceil(low3 - shift5), high3 - shift5
+            if a > top:
+                continue
+            p0, q0 = p3 * p5, q3 * q5
+            if p0 > cap or q0 > cap:
+                continue
+            for a in range(a, math.floor(top) + 1):
+                p, q = (p0 << a, q0) if a >= 0 else (p0, q0 << -a)
+                if p <= q or p > cap:
+                    continue
+                width, diagonal, base = p * p - q * q, p * p + q * q, 2 * p * q
+                if diagonal * diagonal >= SEC_SQUARED_LIMIT * base * base:
+                    continue
+                if lower is not None and width * lower.denominator <= lower.numerator * base:
+                    continue
+                if upper is not None and width * upper.denominator >= upper.numerator * base:
+                    continue
+                g = 1 + (p & q & 1)  # p, q both odd: every side is even
+                sides.append((width // g, diagonal // g, base // g))
     return sides
 
 
@@ -161,7 +155,7 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
     """All valid rows under the config, sorted descending by column I."""
     lower = _tan_bound(config.range_min_deg)
     upper = _tan_bound(config.range_max_deg) if config.range_max_deg is not None else None
-    triples = _pair_sides(regular_numbers(config.max_generator), lower, upper)
+    triples = _pair_sides(config.max_generator, lower, upper)
     if config.include_degenerate:
         triples.append((0, 1, 1))
     rows = [row for w, d, b in triples if (row := _row(w, d, b, config.max_col_i_places))]

@@ -9,6 +9,7 @@ integers whose reciprocals terminate in base 60.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -72,15 +73,19 @@ def parse_int(text: str) -> int:
     """
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII digits, got {text!r}")
+    # int()'s own error past this limit names an interpreter setting; 0 is no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(text):
+        raise ValueError(f"expected at most {limit} ASCII digits, got {len(text)}")
     return int(text)
 
 
 def parse_signed_int(text: str) -> int:
     """parse_int with an optional leading minus sign."""
-    try:
-        return -parse_int(text[1:]) if text.startswith("-") else parse_int(text)
-    except ValueError:
-        raise ValueError(f"expected ASCII digits with an optional leading minus, got {text!r}") from None
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected ASCII digits with an optional leading minus, got {text!r}")
+    return sign * parse_int(digits)
 
 
 def parse_float(text: str) -> float:

@@ -239,6 +239,14 @@ class TestCadence:
         assert "at least one" in err
 
 
+# more digits than the interpreter's int() takes from text by default
+TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 700)
+
+
+def argv_id(argv):
+    return " ".join(a if len(a) <= 100 else f"<{len(a)} chars>" for a in argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,8 +272,11 @@ class TestCadence:
         ("convert", "values", "3/4", "5/0"),
         ("reconstruct", "24.30", "--anchor=-100000"),  # sec^2 - 1 of ~177,800 digits
         ("reconstruct", "24.30", "--anchor", "400"),  # sec^2 of ~1,400 digits
+        ("convert", "triple", TOO_MANY_DIGITS, "1", "1"),
+        ("enumerate", "--max-generator", TOO_MANY_DIGITS),
+        ("reconstruct", "24.30", "--shorten", TOO_MANY_DIGITS),
     ],
-    ids=" ".join,
+    ids=argv_id,
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -281,11 +292,19 @@ HUGE_VALUE_ERRORS = [
     (("reconstruct", "24.30", "--anchor", "400"), "sec^2 = ~5.53e+1421 is not below 60"),
     (("reconstruct", "59.59"), "38865601 is not a perfect square"),
     (("reconstruct", "59.59", "--anchor", "1"), "sec^2 = 13388281/3600 is not below 60"),
+    (("convert", "triple", TOO_MANY_DIGITS, "1", "1"),
+     f"expected at most {sys.get_int_max_str_digits()} ASCII digits, got {len(TOO_MANY_DIGITS)}"),
+    (("enumerate", "--max-generator", TOO_MANY_DIGITS),
+     f"argument --max-generator: expected at most {sys.get_int_max_str_digits()} ASCII digits,"
+     f" got {len(TOO_MANY_DIGITS)}"),
+    (("reconstruct", "24.30", "--shorten", TOO_MANY_DIGITS),
+     f"argument --shorten: expected at most {sys.get_int_max_str_digits()} ASCII digits,"
+     f" got {len(TOO_MANY_DIGITS)}"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message", HUGE_VALUE_ERRORS, ids=[" ".join(argv) for argv, _ in HUGE_VALUE_ERRORS]
+    "argv, message", HUGE_VALUE_ERRORS, ids=[argv_id(argv) for argv, _ in HUGE_VALUE_ERRORS]
 )
 def test_error_lines_stay_short_for_any_value_size(capsys, argv, message):
     # values up to 2^64 a side print exactly, larger ones by magnitude

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from plimpton import enumeration, reconstruction, sexagesimal
+from plimpton import enumeration, numerics, reconstruction, sexagesimal
 from plimpton.enumeration import (
     DEFAULT_MAX_COL_I_PLACES,
     DEFAULT_MAX_GENERATOR,
     EmptyInput,
     EnumerationConfig,
     _row,
+    _tan_bound,
     cadence_map,
     col_i_places_of,
     gap_analysis,
@@ -257,6 +258,81 @@ def test_emit_neither_counts_digits_nor_stretches(monkeypatch):
     config = EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES,
                                include_degenerate=True)
     assert len(generate(config)) == 2636
+
+
+BRUTE_CAPS = sorted({c for r in regular_numbers(10**4) for c in (r - 1, r, r + 1) if c >= 2})
+
+
+@pytest.fixture(scope="module")
+def brute_rows():
+    """(p, row) of every coprime regular p > q <= the largest cap with sec^2 < 60."""
+    regs = regular_numbers(BRUTE_CAPS[-1])
+    out = []
+    for i, p in enumerate(regs):
+        for q in regs[:i]:
+            w, d, b = p * p - q * q, p * p + q * q, 2 * p * q
+            if math.gcd(p, q) == 1 and d * d < 60 * b * b:
+                g = 1 + (p & q & 1)
+                out.append((p, _row(w // g, d // g, b // g, UNCAPPED_PLACES)))
+    return out
+
+
+def brute_select(brute_rows, cap, lo_deg=0.0, hi_deg=None):
+    lower = _tan_bound(lo_deg)
+    upper = _tan_bound(hi_deg) if hi_deg is not None else None
+    rows = [
+        r for p, r in brute_rows
+        if p <= cap and (lower is None or r.triangle.tan_fv > lower)
+        and (upper is None or r.triangle.tan_fv < upper)
+    ]
+    return sorted(rows, key=lambda r: r.col_i, reverse=True)
+
+
+def test_walk_matches_brute_force_at_every_regular_cap(brute_rows):
+    # a cap on, or one either side of, each regular up to 10^4 moves the
+    # walk's p <= cap edge across every generator that can be a row's p
+    rng = random.Random(45)
+    for cap in BRUTE_CAPS:
+        config = EnumerationConfig(max_generator=cap, max_col_i_places=UNCAPPED_PLACES)
+        assert generate(config) == brute_select(brute_rows, cap), cap
+        lo = rng.uniform(0, 82)
+        window = config._replace(range_min_deg=lo, range_max_deg=lo + 0.5)
+        assert generate(window) == brute_select(brute_rows, cap, lo, lo + 0.5), (cap, lo)
+
+
+def test_generate_lists_no_regulars(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generate listed the regulars")
+
+    monkeypatch.setattr(numerics, "regular_numbers", refuse)
+    monkeypatch.setattr(enumeration, "regular_numbers", refuse, raising=False)
+    config = EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES)
+    assert len(generate(config)) == 2635
+
+
+def test_walk_visits_only_cells_within_the_cap(monkeypatch):
+    # p = 2^x P and q = 2^y Q with coprime odd regular parts P, Q <= cap;
+    # over the full ratio window, about 4 wide in log2, every such cell
+    # gets a non-empty a-range, so the walk's range() runs once per cell
+    ranges = []
+
+    def counted_range(*args):
+        ranges.append(args)
+        return range(*args)
+
+    monkeypatch.setattr(enumeration, "range", counted_range, raising=False)
+    cap = 10**12
+    generate(EnumerationConfig(max_generator=cap, max_col_i_places=4))
+    odd = [n for n in regular_numbers(cap) if n % 2]
+    assert len(ranges) == sum(math.gcd(p, q) == 1 for p in odd for q in odd) == 1325
+
+
+def test_walk_keeps_order_and_uniqueness_at_10_18():
+    rows = generate(EnumerationConfig(max_generator=10**18, max_col_i_places=UNCAPPED_PLACES))
+    assert len(rows) == 11061
+    values = [r.col_i for r in rows]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
 
 
 class TestGapAnalysis:

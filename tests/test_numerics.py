@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,17 @@ class TestParseInt:
     def test_other_spellings_refused(self, text):
         with pytest.raises(ValueError, match="ASCII digits"):
             parse_int(text)
+
+    def test_digit_limit_has_its_own_message(self):
+        # int() would name sys.set_int_max_str_digits, which a user cannot reach
+        limit = sys.get_int_max_str_digits()
+        assert parse_int("9" * limit) == 10**limit - 1
+        for text in ("9" * (limit + 1), "0" * (limit + 700)):
+            message = f"^expected at most {limit} ASCII digits, got {len(text)}$"
+            with pytest.raises(ValueError, match=message):
+                parse_int(text)
+            with pytest.raises(ValueError, match=message):
+                parse_signed_int("-" + text)
 
     def test_signed_reader_takes_a_minus_sign_only(self):
         assert parse_signed_int("-2") == -2

@@ -143,7 +143,9 @@ def test_corrupted_dataset_rejected(tmp_path, dataset):
         load_dataset(bad)
 
 
-@pytest.mark.parametrize("cell", ["|1_19|", "|\u0661\u0661\u0669|"])
+@pytest.mark.parametrize("cell", [
+    "|1_19|", "|\u0661\u0661\u0669|", pytest.param("|" + "9" * 5000 + "|", id="5000-digits"),
+])
 def test_integer_cell_needs_ascii_digits(tmp_path, cell):
     # int() reads both spellings as 119, which would load unchanged
     tampered = _rechecksummed(_packaged_text().replace("|119|", cell, 1))
