@@ -239,7 +239,7 @@ class TestCadence:
         assert "at least one" in err
 
 
-# more digits than the interpreter's int() takes from text by default
+# more digits than the interpreter's int() takes from text
 TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 700)
 
 

@@ -218,14 +218,18 @@ def test_generate_matches_oracle_on_windows(oracle_rows):
         ), (lo, hi)
 
 
+def assert_strictly_ordered(rows):
+    values = [r.col_i for r in rows]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
+
+
 def test_large_caps_stay_strictly_ordered():
     # 2,635 rows at 10^9: the float-keyed sort must keep column I strictly
     # descending and each gradient once, with no frozen digest to lean on
     rows = generate(EnumerationConfig(max_generator=10**9, max_col_i_places=UNCAPPED_PLACES))
     assert len(rows) == 2635
-    values = [r.col_i for r in rows]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
+    assert_strictly_ordered(rows)
 
 
 def test_closed_form_places_match_the_digit_count():
@@ -330,9 +334,7 @@ def test_walk_visits_only_cells_within_the_cap(monkeypatch):
 def test_walk_keeps_order_and_uniqueness_at_10_18():
     rows = generate(EnumerationConfig(max_generator=10**18, max_col_i_places=UNCAPPED_PLACES))
     assert len(rows) == 11061
-    values = [r.col_i for r in rows]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert len({(r.triangle.tan_fv, r.triangle.sec_fv) for r in rows}) == len(rows)
+    assert_strictly_ordered(rows)
 
 
 class TestGapAnalysis:

@@ -147,7 +147,8 @@ def test_corrupted_dataset_rejected(tmp_path, dataset):
     "|1_19|", "|\u0661\u0661\u0669|", pytest.param("|" + "9" * 5000 + "|", id="5000-digits"),
 ])
 def test_integer_cell_needs_ascii_digits(tmp_path, cell):
-    # int() reads both spellings as 119, which would load unchanged
+    # int() reads both spellings as 119, which would load unchanged, and
+    # past its digit limit gives advice about an interpreter setting
     tampered = _rechecksummed(_packaged_text().replace("|119|", cell, 1))
     bad = tmp_path / "bad.txt"
     bad.write_text(tampered, encoding="utf-8")
