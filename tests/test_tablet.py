@@ -23,6 +23,33 @@ def dataset():
     return load_dataset()
 
 
+# Every field of every line as the 20-cell format of the dataset stored
+# them, before the loader derived them from five cells a line.
+FROZEN_LINES = (
+    (1, Fraction(49, 2), Fraction(28561, 4), 119, 119, 169, 169, None, 2, None, 120),
+    (2, Fraction(6845, 288), Fraction(582015625, 82944), 3367, 3367, 11521, 4825, (16835, 24125), 288, 5, 3456),
+    (3, Fraction(1849, 80), Fraction(44209201, 6400), 4601, 4601, 6649, 6649, None, 80, None, 4800),
+    (4, Fraction(5041, 225), Fraction(343768681, 50625), 12709, 12709, 18541, 18541, None, 225, None, 13500),
+    (5, Fraction(125, 6), Fraction(235225, 36), 65, 65, 97, 97, (325, 485), 6, 5, 72),
+    (6, Fraction(121, 6), Fraction(231361, 36), 319, 319, 481, 481, None, 6, None, 360),
+    (7, Fraction(841, 45), Fraction(12538681, 2025), 2291, 2291, 3541, 3541, None, 45, None, 2700),
+    (8, Fraction(289, 16), Fraction(1560001, 256), 799, 799, 1249, 1249, None, 16, None, 960),
+    (9, Fraction(169, 10), Fraction(591361, 100), 541, 481, 769, 769, None, 10, None, 600),
+    (10, Fraction(1681, 108), Fraction(66601921, 11664), 4961, 4961, 8161, 8161, None, 108, None, 6480),
+    (11, Fraction(15, 1), Fraction(5625, 1), 45, 45, 75, 75, None, 1, None, 60),
+    (12, Fraction(529, 40), Fraction(8579041, 1600), 1679, 1679, 2929, 2929, None, 40, None, 2400),
+    (13, Fraction(49, 4), Fraction(83521, 16), 25921, 161, 289, 289, None, 4, None, 240),
+    (14, Fraction(529, 45), Fraction(10426441, 2025), 1771, 1771, 3229, 3229, None, 45, None, 2700),
+    (15, Fraction(32, 3), Fraction(44944, 9), 56, 56, 53, 106, (112, 212), 3, 2, 90),
+)
+
+
+def test_every_field_of_every_line_is_frozen(dataset):
+    assert [tuple(line) for line in dataset.lines] == list(FROZEN_LINES)
+    for line, frozen in zip(dataset.lines, FROZEN_LINES):
+        assert [type(v) for v in line] == [type(v) for v in frozen]
+
+
 def test_loads_fifteen_lines_and_registry(dataset):
     assert len(dataset.lines) == 15
     assert len(dataset.errata) == 5
