@@ -146,25 +146,6 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
     }
 
 
-def tablet_from_record(record: dict[str, str]) -> TabletLine:
-    pre = None
-    if record["pre_II"]:
-        pre = (parse_int(record["pre_II"]), parse_int(record["pre_III"]))
-    return TabletLine(
-        row=parse_int(record["row"]),
-        col0=parse_fraction(record["col0_frac"]),
-        col_i=parse_fraction(record["colI_frac"]),
-        col_ii_inscribed=parse_int(record["colII_inscribed"]),
-        col_ii_corrected=parse_int(record["colII_corrected"]),
-        col_iii_inscribed=parse_int(record["colIII_inscribed"]),
-        col_iii_corrected=parse_int(record["colIII_corrected"]),
-        pre_shortening=pre,
-        stretch=parse_int(record["stretch"]),
-        shorten_divisor=parse_int(record["shorten_d"]) if record["shorten_d"] else None,
-        base=parse_int(record["base"]),
-    )
-
-
 def to_csv(records: list[dict[str, str]], columns: list[str]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")

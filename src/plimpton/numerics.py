@@ -195,8 +195,8 @@ def least_integer_multiplier(values: Iterable[Fraction]) -> int:
         raise ValueError("need at least one value")
     for v in values:
         if v < 0:
-            raise ValueError(f"expected non-negative values, got {v}")
+            raise ValueError(f"expected non-negative values, got {brief(v)}")
     x = math.lcm(*(v.denominator for v in values))
     if not is_regular(x):
-        raise NotRegular(f"a denominator of {', '.join(map(str, values))} is not regular")
+        raise NotRegular(f"a denominator of {', '.join(map(brief, values))} is not regular")
     return x

@@ -131,19 +131,24 @@ class AnchoredSexagesimal(NamedTuple):
         return f"{self.numeral} @60^{self.exponent}"
 
 
+def _quoted(text: str) -> str:
+    """repr of text, cut to its head and length past 40 characters: error text at any size."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def parse(text: str) -> Sexagesimal:
-    """Parse dotted-sexagesimal text such as "1.59.00.15"."""
+    """Parse dotted-sexagesimal text such as "1.59.00.15"; a digit may carry leading zeros."""
     if not text:
         raise ParseError("empty input")
-    tokens = text.split(".")
     digits = []
-    for token in tokens:
+    for token in text.split("."):
         if not (token.isascii() and token.isdigit()):
-            raise ParseError(f"non-numeric token {token!r} in {text!r}")
-        value = int(token)
-        if value > 59:
-            raise ParseError(f"token {token!r} exceeds 59 in {text!r}")
-        digits.append(value)
+            raise ParseError(f"non-numeric token {_quoted(token)} in {_quoted(text)}")
+        # int() sees at most two significant figures: past its length limit its error names a setting
+        significant = token.lstrip("0") or "0"
+        if len(significant) > 2 or int(significant) > 59:
+            raise ParseError(f"token {_quoted(token)} exceeds 59 in {_quoted(text)}")
+        digits.append(int(significant))
     return Sexagesimal(tuple(digits))
 
 

@@ -1,10 +1,13 @@
 """The embedded Plimpton 322 dataset.
 
 The dataset ships as a human-auditable text file (data/plimpton322.txt)
-holding all fifteen lines with inscribed and corrected values, the
-pre-shortening pairs, the erratum registry and the alternate-reading
-annotations.  Loading verifies a checksum, every mirror and every
-cross-column invariant; any defect in the file is a DatasetCorrupt.
+holding the tablet as transliterated: per line the row, the
+reconstructed column 0 and the inscribed columns I, II and III, plus
+the erratum registry and the alternate-reading annotations.  Every
+other field of a TabletLine (corrected columns, stretch, shortening
+divisor, pre-shortening pair, base) is derived by one pipeline run from
+column 0.  Loading verifies a checksum and that the evidence agrees
+with the derivation; any defect in the file is a DatasetCorrupt.
 
 The file path can be overridden with the PLIMPTON322_DATASET
 environment variable or an explicit argument to load_dataset.
@@ -14,15 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .numerics import Validated, parse_fraction, parse_int
-from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse
+from .numerics import Validated, parse_int
+from .reconstruction import ArrowValue, NotDivisible, reconstruct_line, shorten
+from .sexagesimal import AnchoredSexagesimal, Sexagesimal, digits_to_int, parse, to_rational
 
 DATASET_ENV_VAR = "PLIMPTON322_DATASET"
 
@@ -79,14 +82,6 @@ class TabletLine(NamedTuple):
         """Exact secant of the line's gradient (diagonal / unit base)."""
         return Fraction(self.unshortened[1], 60 * self.stretch)
 
-    @property
-    def col0_sexagesimal(self) -> AnchoredSexagesimal:
-        return from_rational(self.col0)
-
-    @property
-    def col_i_sexagesimal(self) -> AnchoredSexagesimal:
-        return from_rational(self.col_i)
-
 
 class _Erratum(NamedTuple):
     row: int
@@ -125,98 +120,54 @@ class TabletDataset(NamedTuple):
         return tuple(e for e in self.errata if e.row == row)
 
 
-def _mirrored(
-    row: str, mirror: str, text: str, parse_value: Callable[[str], Fraction | int]
-) -> Fraction | int | None:
-    """A value cell checked against its dotted-sexagesimal mirror; None when both are "-"."""
-    if mirror == text == "-":
-        return None
-    value = parse_value(text)
-    if parse(mirror) != from_rational(value).numeral:
-        raise DatasetCorrupt(f"row {row}: mirror {mirror!r} does not match {value}")
-    return value
+def _registry(errata: list[ErratumRecord]) -> dict[tuple[int, str], ErratumRecord]:
+    """The five erratum records keyed by (row, column); any other set is a DatasetCorrupt."""
+    by_cell = {(e.row, e.column): e for e in errata}
+    if by_cell.keys() != {(2, "III"), (8, "I"), (9, "II"), (13, "II"), (15, "III")} or len(errata) != 5:
+        raise DatasetCorrupt(f"erratum registry mismatch: {sorted(by_cell)}")
+    return by_cell
 
 
-def _parse_line_record(fields: list[str]) -> TabletLine:
-    if len(fields) != 20:
-        raise DatasetCorrupt(f"line record has {len(fields)} fields, expected 20")
-    row, stretch, shorten_d, base = fields[0], fields[17], fields[18], fields[19]
-    cells = [
-        _mirrored(row, fields[k], fields[k + 1], parse_fraction if k < 5 else parse_int)
-        for k in range(1, 17, 2)
-    ]
-    col0, col_i, ii_ins, ii_cor, iii_ins, iii_cor, pre_ii, pre_iii = cells
-    if None in cells[:6]:
-        raise DatasetCorrupt(f"row {row}: a required cell is '-'")
-    if not (pre_ii is None) == (pre_iii is None) == (shorten_d == "-"):
-        raise DatasetCorrupt(f"row {row}: pre-shortening pair and divisor not all present or all absent")
+def _derive_line(cells: list[str], by_cell: dict[tuple[int, str], ErratumRecord]) -> TabletLine:
+    """A full line from row | col0 | I | II | III, the errata and one pipeline run."""
+    if len(cells) != 5:
+        raise DatasetCorrupt(f"line record has {len(cells)} cells, expected 5")
+    row = parse_int(cells[0])
+    inscribed = dict(zip(("I", "II", "III"), map(parse, cells[2:])))
+    corrected = dict(inscribed)
+    for column, numeral in inscribed.items():
+        erratum = by_cell.get((row, column))
+        if erratum is not None:
+            if erratum.inscribed != numeral:
+                raise DatasetCorrupt(f"row {row}: column {column} erratum does not match the line")
+            corrected[column] = erratum.corrected
+    col0 = to_rational(AnchoredSexagesimal(parse(cells[1]), 0))
+    col_i = to_rational(AnchoredSexagesimal(corrected["I"], 2))
+    if (col0 + 60) ** 2 != col_i:
+        raise DatasetCorrupt(f"row {row}: column 0 does not square to column I")
+    ii, iii = (digits_to_int(corrected[c].digits) for c in ("II", "III"))
+    tri = reconstruct_line(ArrowValue(col0))
+    if ii == 0 or tri.width % ii:
+        raise DatasetCorrupt(f"row {row}: column II does not divide the width {tri.width}")
+    try:
+        short = shorten(tri, tri.width // ii)
+    except NotDivisible as exc:
+        raise DatasetCorrupt(f"row {row}: {exc}") from exc
+    if short.diagonal != iii:
+        raise DatasetCorrupt(f"row {row}: the diagonal {tri.diagonal} does not divide down to column III")
     return TabletLine(
-        row=parse_int(row),
+        row=row,
         col0=col0,
         col_i=col_i,
-        col_ii_inscribed=ii_ins,
-        col_ii_corrected=ii_cor,
-        col_iii_inscribed=iii_ins,
-        col_iii_corrected=iii_cor,
-        pre_shortening=None if pre_ii is None else (pre_ii, pre_iii),
-        stretch=parse_int(stretch),
-        shorten_divisor=None if shorten_d == "-" else parse_int(shorten_d),
-        base=parse_int(base),
+        col_ii_inscribed=digits_to_int(inscribed["II"].digits),
+        col_ii_corrected=ii,
+        col_iii_inscribed=digits_to_int(inscribed["III"].digits),
+        col_iii_corrected=iii,
+        pre_shortening=(tri.width, tri.diagonal) if short.shorten_divisor else None,
+        stretch=tri.stretch,
+        shorten_divisor=short.shorten_divisor,
+        base=short.base,
     )
-
-
-def _verify_line(line: TabletLine) -> None:
-    r = line.row
-    # Pythagorean closure on the corrected triple
-    if line.col_ii_corrected**2 + line.base**2 != line.col_iii_corrected**2:
-        raise DatasetCorrupt(f"row {r}: corrected triple is not Pythagorean")
-    # takiltum is the squared stretched secant at the 60^2 power
-    if line.col_i != Fraction(line.unshortened[1], line.stretch) ** 2:
-        raise DatasetCorrupt(f"row {r}: column I is not the squared diagonal")
-    # column 0 feeds column I by add-60-and-square
-    if (line.col0 + 60) ** 2 != line.col_i:
-        raise DatasetCorrupt(f"row {r}: column 0 does not square to column I")
-    if line.pre_shortening is not None:
-        pre_ii, pre_iii = line.pre_shortening
-        d = line.shorten_divisor
-        if pre_ii != line.col_ii_corrected * d or pre_iii != line.col_iii_corrected * d:
-            raise DatasetCorrupt(f"row {r}: shortening divisor inconsistent")
-        if pre_ii**2 + (60 * line.stretch) ** 2 != pre_iii**2:
-            raise DatasetCorrupt(f"row {r}: pre-shortening triple is not Pythagorean")
-        if line.base * d != 60 * line.stretch:
-            raise DatasetCorrupt(f"row {r}: base inconsistent with shortening")
-    elif line.base != 60 * line.stretch:
-        raise DatasetCorrupt(f"row {r}: base is not 60 * stretch")
-
-
-def _verify_dataset(dataset: TabletDataset) -> None:
-    if [line.row for line in dataset.lines] != list(range(1, 16)):
-        raise DatasetCorrupt("line rows are not 1..15 in order")
-    col_i_values = [line.col_i for line in dataset.lines]
-    if any(a <= b for a, b in zip(col_i_values, col_i_values[1:])):
-        raise DatasetCorrupt("column I values are not strictly descending")
-    expected = {(2, "III"), (8, "I"), (9, "II"), (13, "II"), (15, "III")}
-    by_cell = {(e.row, e.column): e for e in dataset.errata}
-    if by_cell.keys() != expected or len(dataset.errata) != 5:
-        raise DatasetCorrupt(f"erratum registry mismatch: {sorted(by_cell)}")
-    for line in dataset.lines:
-        columns = {
-            "I": (None, line.col_i),
-            "II": (line.col_ii_inscribed, line.col_ii_corrected),
-            "III": (line.col_iii_inscribed, line.col_iii_corrected),
-        }
-        for column, (inscribed, corrected) in columns.items():
-            erratum = by_cell.get((line.row, column))
-            if erratum is None:
-                if inscribed not in (None, corrected):
-                    raise DatasetCorrupt(f"row {line.row}: column {column} miswritten with no erratum")
-            elif erratum.corrected != from_rational(corrected).numeral or (
-                inscribed is not None and erratum.inscribed != from_rational(inscribed).numeral
-            ):
-                raise DatasetCorrupt(f"row {line.row}: column {column} erratum does not match the line")
-    for key in ("line2_alternate_reading_col_iii", "line15_alternate_triple"):
-        if key not in dataset.annotations:
-            raise DatasetCorrupt(f"annotation {key} missing")
 
 
 def _read_text(path: str | None) -> str:
@@ -236,7 +187,7 @@ def _parse_dataset(text: str) -> TabletDataset:
         raise DatasetCorrupt(f"checksum mismatch: {digest} != {stated}")
 
     section = None
-    tablet_lines: list[TabletLine] = []
+    records: list[list[str]] = []
     errata: list[ErratumRecord] = []
     annotations: dict[str, str] = {}
     for raw in body.splitlines():
@@ -247,7 +198,7 @@ def _parse_dataset(text: str) -> TabletDataset:
             section = stripped
             continue
         if section == "[lines]":
-            tablet_lines.append(_parse_line_record(stripped.split("|")))
+            records.append(stripped.split("|"))
         elif section == "[errata]":
             fields = stripped.split("|")
             if len(fields) != 5:
@@ -260,11 +211,16 @@ def _parse_dataset(text: str) -> TabletDataset:
         else:
             raise DatasetCorrupt(f"record outside any section: {stripped!r}")
 
-    dataset = TabletDataset(tuple(tablet_lines), tuple(errata), annotations)
-    for line in dataset.lines:
-        _verify_line(line)
-    _verify_dataset(dataset)
-    return dataset
+    by_cell = _registry(errata)
+    lines = tuple(_derive_line(cells, by_cell) for cells in records)
+    if [line.row for line in lines] != list(range(1, 16)):
+        raise DatasetCorrupt("line rows are not 1..15 in order")
+    if any(a.col_i <= b.col_i for a, b in zip(lines, lines[1:])):
+        raise DatasetCorrupt("column I values are not strictly descending")
+    for key in ("line2_alternate_reading_col_iii", "line15_alternate_triple"):
+        if key not in annotations:
+            raise DatasetCorrupt(f"annotation {key} missing")
+    return TabletDataset(lines, tuple(errata), annotations)
 
 
 @lru_cache(maxsize=4)

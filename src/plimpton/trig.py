@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .numerics import brief
 from .sexagesimal import AnchoredSexagesimal, Sexagesimal, from_rational, parse, to_rational
 
 
@@ -74,16 +75,16 @@ class FunctionValueSet(NamedTuple):
 def from_function_values(tan_fv: Fraction, sec_fv: Fraction) -> FunctionValueSet:
     fv = FunctionValueSet(Fraction(tan_fv), Fraction(sec_fv))
     if fv.sec_fv**2 - fv.tan_fv**2 != 1:
-        raise NotPythagorean(f"sec^2 - tan^2 != 1 for {tan_fv}, {sec_fv}")
+        raise NotPythagorean(f"sec^2 - tan^2 != 1 for {brief(tan_fv)}, {brief(sec_fv)}")
     return fv
 
 
 def from_triple(width: int, diagonal: int, base: int) -> FunctionValueSet:
     """Function values of an integer triangle; scale-invariant."""
     if base <= 0:
-        raise ValueError(f"base must be positive, got {base}")
+        raise ValueError(f"base must be positive, got {brief(base)}")
     if width**2 + base**2 != diagonal**2:
-        raise NotPythagorean(f"({width}, {diagonal}, {base}) is not a right triangle")
+        raise NotPythagorean(f"({brief(width)}, {brief(diagonal)}, {brief(base)}) is not a right triangle")
     return FunctionValueSet(Fraction(width, base), Fraction(diagonal, base))
 
 

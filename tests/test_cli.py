@@ -12,6 +12,7 @@ from plimpton import formats, reconstruction
 from plimpton.cli import main
 from plimpton.numerics import parse_fraction
 from plimpton.sexagesimal import from_rational
+from plimpton.tablet import load_dataset
 
 
 def run(capsys, *argv):
@@ -48,14 +49,11 @@ class TestVerify:
         assert all(record["status"] == "ok" for record in payload)
 
     def test_csv_round_trips_tablet_lines(self, capsys, tmp_path):
-        from plimpton.tablet import load_dataset
-
         path = tmp_path / "tablet.csv"
         code, _, _ = run(capsys, "--format", "csv", "--output", str(path), "verify")
         assert code == 0
         parsed = formats.from_csv(path.read_text(encoding="utf-8"))
-        lines = [formats.tablet_from_record(r) for r in parsed]
-        assert lines == list(load_dataset().lines)
+        assert parsed == [dict(formats.tablet_record(line), status="ok") for line in load_dataset().lines]
 
 
 class TestReconstruct:
@@ -273,6 +271,7 @@ def argv_id(argv):
         ("reconstruct", "24.30", "--anchor=-100000"),  # sec^2 - 1 of ~177,800 digits
         ("reconstruct", "24.30", "--anchor", "400"),  # sec^2 of ~1,400 digits
         ("convert", "triple", TOO_MANY_DIGITS, "1", "1"),
+        ("reconstruct", TOO_MANY_DIGITS),
         ("enumerate", "--max-generator", TOO_MANY_DIGITS),
         ("reconstruct", "24.30", "--shorten", TOO_MANY_DIGITS),
     ],
@@ -292,6 +291,11 @@ HUGE_VALUE_ERRORS = [
     (("reconstruct", "24.30", "--anchor", "400"), "sec^2 = ~5.53e+1421 is not below 60"),
     (("reconstruct", "59.59"), "38865601 is not a perfect square"),
     (("reconstruct", "59.59", "--anchor", "1"), "sec^2 = 13388281/3600 is not below 60"),
+    (("convert", "triple", "9" * 4300, "1", "1"), "(~1.00e+4300, 1, 1) is not a right triangle"),
+    (("convert", "values", "9" * 4300 + "/1", "1/1"), "sec^2 - tan^2 != 1 for ~1.00e+4300, 1"),
+    (("reconstruct", TOO_MANY_DIGITS),
+     f"token '{'9' * 20}'... ({len(TOO_MANY_DIGITS)} characters) exceeds 59"
+     f" in '{'9' * 20}'... ({len(TOO_MANY_DIGITS)} characters)"),
     (("convert", "triple", TOO_MANY_DIGITS, "1", "1"),
      f"expected at most {sys.get_int_max_str_digits()} ASCII digits, got {len(TOO_MANY_DIGITS)}"),
     (("enumerate", "--max-generator", TOO_MANY_DIGITS),
@@ -401,6 +405,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_one_pipeline_run_per_line_and_per_reconstruct(capsys, monkeypatch):
+    load_dataset()  # the loader's own run per line, which derives the line, is cached
     stages = ("col0_to_col_i", "col_i_to_function_values", "stretch_to_integers")
     calls = {name: _counting(monkeypatch, reconstruction, name) for name in stages}
     assert run(capsys, "verify")[0] == 0

@@ -172,6 +172,15 @@ class TestLeastIntegerMultiplier:
         with pytest.raises(ValueError):
             least_integer_multiplier([])
 
+    @pytest.mark.parametrize("values", [
+        [Fraction(10**4300 - 1, 7)],
+        [Fraction(1, 2), Fraction(-(10**4300))],
+    ], ids=["non-regular", "negative"])
+    def test_error_text_stays_short_for_any_value_size(self, values):
+        with pytest.raises(ValueError) as exc:
+            least_integer_multiplier(values)
+        assert len(str(exc.value).encode()) <= 200
+
     @given(st.lists(
         st.builds(
             lambda num, a, b, c: Fraction(num, 2**a * 3**b * 5**c),

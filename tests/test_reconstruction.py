@@ -216,28 +216,15 @@ class TestVerifyAll:
         assert report.all_passed and report.checks == ()
 
     def test_mismatch_report_names_every_column_in_order(self):
-        # line 5 with every checked value nudged: column I, the
-        # pre-shortening pair, columns II and III and the base
+        # line 5 with every compared value nudged: columns I, II and III
         dataset = load_dataset()
         line = dataset.get_line(5)._replace(
-            col_i=Fraction(235261, 36),
-            pre_shortening=(326, 486),
-            col_ii_corrected=66,
-            col_iii_corrected=98,
-            base=73,
+            col_i=Fraction(235261, 36), col_ii_corrected=66, col_iii_corrected=98
         )
         assert verify_line(dataset, line).mismatches == (
             ("I", "235225/36", "235261/36"),
-            ("pre", "325/485", "326/486"),
             ("II", "65", "66"),
             ("III", "97", "98"),
-            ("base", "72", "73"),
-        )
-        # line 2 with only the unshortened diagonal and the base nudged
-        line = dataset.get_line(2)._replace(pre_shortening=(16835, 24126), base=3457)
-        assert verify_line(dataset, line).mismatches == (
-            ("pre", "16835/24125", "16835/24126"),
-            ("base", "3456", "3457"),
         )
 
 

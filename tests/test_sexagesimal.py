@@ -56,6 +56,17 @@ class TestParse:
     def test_unpadded_tokens(self):
         assert parse("23.6.45") == parse("23.06.45")
 
+    def test_leading_zeros_in_a_token(self):
+        assert parse("059") == parse("59")
+        assert parse("1.059") == parse("1.59")
+        assert parse("0" * 5000 + "5") == parse("5")
+
+    def test_a_token_past_int_text_limit_exceeds_59(self):
+        # int() of this token would name an interpreter setting instead
+        with pytest.raises(ParseError, match="exceeds 59") as exc:
+            parse("9" * 5000)
+        assert len(str(exc.value)) <= 200
+
     def test_leading_zero_numeral_rejected(self):
         with pytest.raises(ParseError):
             parse("0.30")

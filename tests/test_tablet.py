@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plimpton.reconstruction import ArrowValue, reconstruct_line, shorten
 from plimpton.sexagesimal import AnchoredSexagesimal, from_rational, parse, to_rational
 from plimpton.tablet import (
     DATASET_ENV_VAR,
@@ -67,8 +68,8 @@ def test_line_1_values(dataset):
     assert line.col_i == Fraction(28561, 4)
     assert (line.col_ii_corrected, line.col_iii_corrected) == (119, 169)
     assert line.base == 120
-    assert line.col0_sexagesimal.numeral == parse("24.30")
-    assert line.col_i_sexagesimal.numeral == parse("1.59.00.15")
+    assert from_rational(line.col0).numeral == parse("24.30")
+    assert from_rational(line.col_i).numeral == parse("1.59.00.15")
 
 
 def test_line_5_pre_shortening(dataset):
@@ -86,6 +87,15 @@ def test_line_15_alternate_triple(dataset):
     alt = tuple(int(v) for v in dataset.annotations["line15_alternate_triple"].split(";"))
     assert alt == (28, 53, 45)
     assert alt[0] ** 2 + alt[2] ** 2 == alt[1] ** 2
+
+
+def test_line_15_alternate_triple_is_the_unshortened_triple_over_4(dataset):
+    line = dataset.get_line(15)
+    unshortened = (*line.pre_shortening, 60 * line.stretch)
+    assert unshortened == (112, 212, 180)
+    alt = tuple(int(v) for v in dataset.annotations["line15_alternate_triple"].split(";"))
+    assert alt == shorten(reconstruct_line(ArrowValue(line.col0)), 4).triple
+    assert alt == tuple(v // 4 for v in unshortened)
 
 
 def test_get_line_bounds(dataset):
@@ -133,7 +143,7 @@ def test_erratum_values_read_correctly(dataset):
 
 
 def test_sexagesimal_mirrors_match_rationals(dataset):
-    # every dotted cell in the file equals its exact fraction twin
+    # column 0 and column I read back from their base-60 digits exactly
     for line in dataset.lines:
         assert to_rational(from_rational(line.col0)) == line.col0
         assert to_rational(from_rational(line.col_i)) == line.col_i
@@ -163,23 +173,26 @@ def _rechecksummed(text: str) -> str:
 def test_corrupted_dataset_rejected(tmp_path, dataset):
     original = _packaged_text()
     # break a value but keep the checksum valid: the invariants trip
-    tampered = _rechecksummed(original.replace("|119|", "|118|", 1))
+    tampered = _rechecksummed(original.replace("|1.59|", "|1.58|", 1))
     bad = tmp_path / "bad.txt"
     bad.write_text(tampered, encoding="utf-8")
     with pytest.raises(DatasetCorrupt):
         load_dataset(bad)
 
 
-@pytest.mark.parametrize("cell", [
-    "|1_19|", "|\u0661\u0661\u0669|", pytest.param("|" + "9" * 5000 + "|", id="5000-digits"),
+@pytest.mark.parametrize("cell, message", [
+    pytest.param("|1.5_9|", "non-numeric token", id="underscore"),
+    pytest.param("|1.\u0665\u0669|", "non-numeric token", id="arabic-indic"),
+    pytest.param("|1." + "9" * 5000 + "|", "exceeds 59", id="5000-digits"),
 ])
-def test_integer_cell_needs_ascii_digits(tmp_path, cell):
-    # int() reads both spellings as 119, which would load unchanged, and
-    # past its digit limit gives advice about an interpreter setting
-    tampered = _rechecksummed(_packaged_text().replace("|119|", cell, 1))
+def test_integer_cell_needs_ascii_digits(tmp_path, cell, message):
+    # int() reads both spellings of the digit as 59, which would load
+    # unchanged, and past its digit limit gives advice about an
+    # interpreter setting
+    tampered = _rechecksummed(_packaged_text().replace("|1.59|", cell, 1))
     bad = tmp_path / "bad.txt"
     bad.write_text(tampered, encoding="utf-8")
-    with pytest.raises(DatasetCorrupt, match="ASCII digits"):
+    with pytest.raises(DatasetCorrupt, match=message):
         load_dataset(bad)
 
 
@@ -202,13 +215,7 @@ def test_env_var_override(tmp_path, monkeypatch):
 
 
 def _record_offsets(text: str) -> list[int]:
-    """Offsets of the characters of every [lines] and [errata] record.
-
-    Row 8's inscribed column I, the first numeral of its erratum, is left
-    out: it is the only cell in the file with no second copy, so a changed
-    digit there loads as a different but self-consistent dataset.  The
-    scribal tests pin its value.
-    """
+    """Offsets of the characters of every [lines] and [errata] record."""
     offsets = []
     start = 0
     section = None
@@ -217,8 +224,7 @@ def _record_offsets(text: str) -> list[int]:
         if record.startswith("["):
             section = record
         elif section in ("[lines]", "[errata]"):
-            skip = range(4, record.index("|", 4)) if record.startswith("8|I|") else ()
-            offsets += [start + i for i in range(len(record)) if i not in skip]
+            offsets += range(start, start + len(record))
         start += len(raw)
     return offsets
 

@@ -48,7 +48,7 @@ class TestFromTriple:
         assert fv.angle_deg == 0
 
     def test_not_pythagorean(self):
-        with pytest.raises(NotPythagorean):
+        with pytest.raises(NotPythagorean, match=r"^\(3, 5, 5\) is not a right triangle$"):
             from_triple(3, 5, 5)
 
     @given(pair_strategy, st.integers(min_value=1, max_value=50))
@@ -183,3 +183,20 @@ def test_angle_of_sides_beyond_float_range():
     fv = from_triple(p * p - q * q, p * p + q * q, 2 * p * q)
     assert fv.angle_deg == pytest.approx(math.degrees(math.atan(float(fv.tan_fv))))
     assert stretch_to_integers(fv.tan_fv, fv.sec_fv).angle_deg == fv.angle_deg
+
+
+@pytest.mark.parametrize("call", [
+    lambda: from_triple(10**4300 - 1, 1, 1),
+    lambda: from_triple(1, 1, -(10**4300)),
+    lambda: from_function_values(Fraction(10**4300 - 1), 1),
+    lambda: from_function_values(1, Fraction(1, 3 * 10**5000)),
+], ids=["triple", "base", "tan", "sec"])
+def test_error_text_stays_short_for_any_value_size(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert len(str(exc.value).encode()) <= 200
+
+
+def test_error_text_of_small_values_is_exact():
+    with pytest.raises(NotPythagorean, match=r"^sec\^2 - tan\^2 != 1 for 3/4, 5/3$"):
+        from_function_values(Fraction(3, 4), Fraction(5, 3))
