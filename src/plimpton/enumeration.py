@@ -23,11 +23,12 @@ as (p^2 + q^2)^2 < 60 (2pq)^2, and the angle bounds by cross-multiplying
 with the bound's numerator and denominator.
 
 Each pair that passes becomes a row from its primitive triple (w, d, b),
-the sides halved when p and q are both odd.  Column I = 3600 d^2 / b^2,
-with b = 2^a2 3^a3 5^a5, has 3 + max(a2 - 2, 2 a3 - 2, 2 a5 - 2) places,
-so the places cap drops a row before any Fraction is built.  A kept row
-has X = b / gcd(b, 60) and sides (w, d, b) * 60 / gcd(b, 60).  Rows are
-sorted descending by column I like the tablet.
+the sides halved when p and q are both odd.  Column I = 3600 d^2 / b^2
+has 1 + max(e2, 2 e3, 2 e5) places for b = 2^e2 3^e3 5^e5, and the cell
+gives them: e3 = |j|, e5 = |k|, e2 = |a| + 1, or 0 for the both-odd a = 0.
+So a places cap P bounds the walk: |j|, |k| <= (P - 1) // 2, |a| <= P - 2.
+A row has X = b / gcd(b, 60) and sides (w, d, b) * 60 / gcd(b, 60).
+Rows are sorted descending by column I like the tablet.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import Validated, factor_regular
+from .numerics import Validated
 from .reconstruction import SEC_SQUARED_LIMIT, GradientTriangle, col_i_of
 from .sexagesimal import from_rational
 from .tablet import load_dataset
@@ -97,25 +98,31 @@ def _tan_bound(deg: float) -> Fraction | None:
     return Fraction(math.tan(math.radians(deg)))
 
 
-def _signed_powers(base: int, cap: int) -> list[tuple[float, int, int]]:
-    """(e * log2(base), p-part, q-part) of base^e for every e with base^|e| <= cap."""
-    powers, n, e = [(0.0, 1, 1)], base, 1
-    while n <= cap:
-        powers += [(e * math.log2(base), n, 1), (-e * math.log2(base), 1, n)]
+def _col_i_places(e2: int, e3: int, e5: int) -> int:
+    """Column-I places of a row whose reduced base is 2^e2 3^e3 5^e5."""
+    return 1 + max(e2, 2 * e3, 2 * e5)
+
+
+def _signed_powers(base: int, cap: int, max_e: int) -> list[tuple[float, int, int, int]]:
+    """(e * log2(base), p-part, q-part, |e|) of base^e for every |e| <= max_e with base^|e| <= cap."""
+    powers, n, e = [(0.0, 1, 1, 0)], base, 1
+    while n <= cap and e <= max_e:
+        powers += [(e * math.log2(base), n, 1, e), (-e * math.log2(base), 1, n, e)]
         n, e = n * base, e + 1
     return powers
 
 
-def _pair_sides(cap: int, lower: Fraction | None, upper: Fraction | None) -> list[tuple[int, int, int]]:
-    """Primitive (width, diagonal, base) of the coprime regular p > q, p <= cap, that can be rows."""
+def _pair_sides(cap: int, max_places: int, lower: Fraction | None, upper: Fraction | None) -> list[tuple]:
+    """(width, diagonal, base, places) of the rows from coprime regular p > q, p <= cap, within max_places."""
     # log2(p/q) = log2(tan + sec) = asinh(tan) / ln 2 rises with the angle
     low = math.asinh(lower or 0) / math.log(2) - LOG2_SLACK
     high = math.asinh(TAN_LIMIT if upper is None else min(upper, TAN_LIMIT)) / math.log(2) + LOG2_SLACK
-    fives = _signed_powers(5, cap)
+    max_e, max_a = (max_places - 1) // 2, max_places - 2
+    fives = _signed_powers(5, cap, max_e)
     sides = []
-    for shift3, p3, q3 in _signed_powers(3, cap):
+    for shift3, p3, q3, j in _signed_powers(3, cap, max_e):
         low3, high3 = low - shift3, high - shift3
-        for shift5, p5, q5 in fives:
+        for shift5, p5, q5, k in fives:
             # p / q = 2^a p0 / q0 inside the window, with log2(p0 / q0) = shift3 + shift5
             a, top = math.ceil(low3 - shift5), high3 - shift5
             if a > top:
@@ -123,7 +130,7 @@ def _pair_sides(cap: int, lower: Fraction | None, upper: Fraction | None) -> lis
             p0, q0 = p3 * p5, q3 * q5
             if p0 > cap or q0 > cap:
                 continue
-            for a in range(a, math.floor(top) + 1):
+            for a in range(max(a, -max_a), min(math.floor(top), max_a) + 1):
                 p, q = (p0 << a, q0) if a >= 0 else (p0, q0 << -a)
                 if p <= q or p > cap:
                     continue
@@ -134,17 +141,13 @@ def _pair_sides(cap: int, lower: Fraction | None, upper: Fraction | None) -> lis
                     continue
                 if upper is not None and width * upper.denominator >= upper.numerator * base:
                     continue
-                g = 1 + (p & q & 1)  # p, q both odd: every side is even
-                sides.append((width // g, diagonal // g, base // g))
+                g = 1 + (p & q & 1)  # p, q both odd (a = 0): every side is even and b // 2 is odd
+                sides.append((width // g, diagonal // g, base // g, _col_i_places(a and abs(a) + 1, j, k)))
     return sides
 
 
-def _row(w: int, d: int, b: int, max_places: int) -> EnumeratedRow | None:
-    """Row of the primitive triple (w, d, b); None past max_places column-I places."""
-    f = factor_regular(b)
-    places = 3 + max(f.e2 - 2, 2 * f.e3 - 2, 2 * f.e5 - 2)
-    if places > max_places:
-        return None
+def _row(w: int, d: int, b: int, places: int) -> EnumeratedRow:
+    """Row of the primitive triple (w, d, b), whose column I has the given places."""
     k = 60 // math.gcd(b, 60)
     sec_fv = Fraction(d, b)
     tri = GradientTriangle(w * k, d * k, b * k, Fraction(w, b), sec_fv, b * k // 60)
@@ -155,10 +158,10 @@ def generate(config: EnumerationConfig = EnumerationConfig()) -> list[Enumerated
     """All valid rows under the config, sorted descending by column I."""
     lower = _tan_bound(config.range_min_deg)
     upper = _tan_bound(config.range_max_deg) if config.range_max_deg is not None else None
-    triples = _pair_sides(config.max_generator, lower, upper)
+    triples = _pair_sides(config.max_generator, config.max_col_i_places, lower, upper)
     if config.include_degenerate:
-        triples.append((0, 1, 1))
-    rows = [row for w, d, b in triples if (row := _row(w, d, b, config.max_col_i_places))]
+        triples.append((0, 1, 1, _col_i_places(0, 0, 0)))
+    rows = [_row(*t) for t in triples]
     # float rounding never reverses an order, so only float ties compare Fractions
     rows.sort(key=lambda r: (float(r.col_i), r.col_i), reverse=True)
     return rows

@@ -6,12 +6,11 @@ row losslessly.  Human-facing decimal output may use the p-marker
 convention for repeating decimals ("1.983402p7" repeats the 7); machine
 fields never do.
 
-Records are built from integers.  Each dotted cell goes through the one
-digit path that from_rational and Sexagesimal.formatted share
-(sexagesimal.ratio_digits, then sexagesimal.dotted), and each "num/den"
-cell is 60 * value reduced through gcd(60, den), so no Fraction and no
-numeral object is made per cell.  Reading a record back makes one
-Fraction per function value, num / (60 * den).
+Records are built from integers.  Each dotted cell writes, two places
+per divmod, the integer that ratio_digits also starts from
+(sexagesimal.ratio_scaled); each "num/den" cell is 60 * value reduced
+through gcd(60, den), so no Fraction and no numeral object is made per
+cell.  Reading a record back makes one Fraction per function value.
 """
 
 from __future__ import annotations
@@ -23,10 +22,12 @@ import math
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
-from .numerics import fraction_text, parse_float, parse_fraction, parse_int, parse_ratio
+from .numerics import _strip_regular, fraction_text, parse_float, parse_fraction, parse_int, parse_ratio
 from .reconstruction import GradientTriangle
-from .sexagesimal import dotted, ratio_digits
+from .sexagesimal import _DOT_PAIR, ratio_scaled
 from .tablet import TabletLine
+
+PERIOD_DIGITS_SHOWN = 1000  # at least 729, the longest period of any tablet line's decimals
 
 ENUMERATION_COLUMNS = [
     "row", "col0", "colI_sex", "colI_frac", "width", "diagonal", "base",
@@ -45,7 +46,8 @@ def decimal_with_period(value: Fraction) -> str:
     """Decimal text with a p marker where the digits start repeating.
 
     1681/108 renders as "15.56p481": the block after p repeats forever.
-    Terminating values come out plain.
+    Terminating values come out plain.  A period longer than PERIOD_DIGITS_SHOWN is cut
+    there and marked "...(period 6561)", or "...(period > 1000)" for a non-regular denominator.
     """
     value = Fraction(value)
     if value < 0:
@@ -53,27 +55,35 @@ def decimal_with_period(value: Fraction) -> str:
     integer, remainder = divmod(value.numerator, value.denominator)
     if remainder == 0:
         return str(integer)
-    digits: list[str] = []
-    seen: dict[int, int] = {}
-    cycle_start = None
-    while remainder:
-        if remainder in seen:
-            cycle_start = seen[remainder]
-            break
-        seen[remainder] = len(digits)
-        remainder *= 10
-        digit, remainder = divmod(remainder, value.denominator)
+    e2, e3, e5, rest = _strip_regular(value.denominator)
+    head_places = max(e2, e5)  # the digits before the period
+    head, start = divmod(remainder * 10**head_places, value.denominator)
+    text = f"{integer}." + (str(head).zfill(head_places) if head_places else "")
+    if start == 0:
+        return text
+    digits, remainder = [], start
+    while len(digits) < PERIOD_DIGITS_SHOWN:
+        digit, remainder = divmod(remainder * 10, value.denominator)
         digits.append(str(digit))
-    if cycle_start is None:
-        return f"{integer}.{''.join(digits)}"
-    head = "".join(digits[:cycle_start])
-    cycle = "".join(digits[cycle_start:])
-    return f"{integer}.{head}p{cycle}"
+        if remainder == start:
+            return f"{text}p{''.join(digits)}"
+    period = 3 ** (e3 - 2) if rest == 1 else f"> {PERIOD_DIGITS_SHOWN}"  # 10 has order 3^(k-2) mod 3^k
+    return f"{text}p{''.join(digits)}...(period {period})"
 
 
 def _dotted(num: int, den: int) -> str:
-    """Dotted base-60 text of num/den: the digits of from_rational, without its objects."""
-    return dotted(ratio_digits(num, den)[0])
+    """Dotted base-60 text of num/den, as dotted(ratio_digits(num, den)[0]) writes it."""
+    if num == 0:
+        return "0"
+    n = ratio_scaled(num, den)[0]
+    while not n % 60:  # trailing zero places
+        n //= 60
+    pairs = []
+    while n >= 3600:
+        n, low = divmod(n, 3600)
+        pairs.append(_DOT_PAIR[low])
+    pairs.append(_DOT_PAIR[n].lstrip(".0"))  # the leading digit bare
+    return "".join(reversed(pairs))
 
 
 def _times_60(num: int, den: int) -> tuple[int, int]:
@@ -148,9 +158,9 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
 
 def to_csv(records: list[dict[str, str]], columns: list[str]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(records)
+    writer = csv.writer(buffer, lineterminator="\n")  # DictWriter's bytes, without its per-row key check
+    writer.writerow(columns)
+    writer.writerows([record[c] for c in columns] for record in records)
     return buffer.getvalue()
 
 

@@ -73,11 +73,11 @@ def parse_int(text: str) -> int:
     """
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII digits, got {text!r}")
-    # int()'s own error past this limit names an interpreter setting; 0 is no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < limit < len(text):
-        raise ValueError(f"expected at most {limit} ASCII digits, got {len(text)}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit, whose own message names an interpreter setting
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"expected at most {limit} ASCII digits, got {len(text)}") from None
 
 
 def parse_signed_int(text: str) -> int:

@@ -66,16 +66,23 @@ def ratio_digits(num: int, den: int) -> tuple[Digits, int]:
     """
     if num == 0:
         return (0,), 0
+    scaled, frac_places = ratio_scaled(num, den)
+    digits = int_to_digits(scaled)
+    return trim_digits(digits), len(digits) - 1 - frac_places
+
+
+def ratio_scaled(num: int, den: int) -> tuple[int, int]:
+    """(num/den * 60^f, f) for the fewest places f after the point that num/den needs."""
     try:
         f = factor_regular(den)
     except NotRegular as exc:
         raise NonTerminating(f"denominator of {num}/{den} is not regular") from exc
     frac_places = max((f.e2 + 1) // 2, f.e3, f.e5)
-    digits = int_to_digits(num * 60**frac_places // den)
-    return trim_digits(digits), len(digits) - 1 - frac_places
+    return num * 60**frac_places // den, frac_places
 
 
 _DOT_DIGIT = tuple(f".{d:02d}" for d in range(60))
+_DOT_PAIR = tuple([a + b for a in _DOT_DIGIT for b in _DOT_DIGIT])  # ".hh.ll" of n < 3600, by concatenation
 
 
 def dotted(digits: Digits, strict: bool = False) -> str:

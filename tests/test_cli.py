@@ -363,6 +363,24 @@ def test_negative_anchor_in_equals_form(capsys):
     assert json.loads(out)[0]["colII"] == "161"
 
 
+P_3_17 = 3**17
+
+
+@pytest.mark.parametrize("argv,period", [
+    # rows 11, 4 and 1 of the places-uncapped table: column I's decimal
+    # repeats with period 3^12, 3^14 and 3^16; the triple's tangent with 3^14
+    (["reconstruct", "6.31.29.40.58.09.48.01.15", "--anchor", "1"], 531441),
+    (["reconstruct", "6.39.12.56.24.53.55.33.20", "--anchor", "1"], 4782969),
+    (["reconstruct", "6.43.16.16.26.40.37.02.13.20", "--anchor", "1"], 43046721),
+    (["convert", "triple", str(P_3_17**2 - 4), str(P_3_17**2 + 4), str(4 * P_3_17)], 4782969),
+], ids=["row-11", "row-4", "row-1", "triple-3^17"])
+def test_long_periods_print_bounded_text(capsys, argv, period):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.encode()) < 20_000
+    assert f"...(period {period})" in out
+
+
 def _angle(capsys, *argv) -> str:
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0

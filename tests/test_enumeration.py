@@ -12,6 +12,7 @@ from plimpton.enumeration import (
     DEFAULT_MAX_GENERATOR,
     EmptyInput,
     EnumerationConfig,
+    _col_i_places,
     _row,
     _tan_bound,
     cadence_map,
@@ -20,7 +21,7 @@ from plimpton.enumeration import (
     generate,
     tablet_positions,
 )
-from plimpton.numerics import regular_numbers
+from plimpton.numerics import factor_regular, regular_numbers
 from plimpton.tablet import load_dataset
 
 # Golden values frozen from the standalone brute-force oracle
@@ -238,14 +239,18 @@ def test_closed_form_places_match_the_digit_count():
     assert all(r.col_i_places == col_i_places_of(r.col_i) for r in rows)
 
 
+def digit_counted_places(d, b):
+    """Places of column I = (60 d / b)^2, counted from its numeral, not from b's exponents."""
+    return col_i_places_of((60 * Fraction(d, b)) ** 2)
+
+
 def test_closed_form_places_for_every_regular_base():
     # column I's places depend only on the reduced base b, given a diagonal
-    # coprime to it; the width does not enter them, so 0 stands in for it.
-    # A b dividing 60 makes column I an integer with trailing zeros trimmed.
+    # coprime to it.  A b dividing 60 makes column I an integer with
+    # trailing zeros trimmed.
     bases_dividing_60 = []
     for b in regular_numbers(10**4):
-        row = _row(0, b + 1, b, UNCAPPED_PLACES)
-        assert row.col_i_places == len(sexagesimal.from_rational(row.col_i).numeral), b
+        assert _col_i_places(*factor_regular(b)) == digit_counted_places(b + 1, b), b
         if 60 % b == 0:
             bases_dividing_60.append(b)
     assert bases_dividing_60 == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
@@ -277,7 +282,7 @@ def brute_rows():
             w, d, b = p * p - q * q, p * p + q * q, 2 * p * q
             if math.gcd(p, q) == 1 and d * d < 60 * b * b:
                 g = 1 + (p & q & 1)
-                out.append((p, _row(w // g, d // g, b // g, UNCAPPED_PLACES)))
+                out.append((p, _row(w // g, d // g, b // g, digit_counted_places(d, b))))
     return out
 
 
@@ -326,9 +331,30 @@ def test_walk_visits_only_cells_within_the_cap(monkeypatch):
 
     monkeypatch.setattr(enumeration, "range", counted_range, raising=False)
     cap = 10**12
-    generate(EnumerationConfig(max_generator=cap, max_col_i_places=4))
+    generate(EnumerationConfig(max_generator=cap, max_col_i_places=UNCAPPED_PLACES))
     odd = [n for n in regular_numbers(cap) if n % 2]
-    assert len(ranges) == sum(math.gcd(p, q) == 1 for p in odd for q in odd) == 1325
+    coprime = [(p, q) for p in odd for q in odd if math.gcd(p, q) == 1]
+    assert len(ranges) == len(coprime) == 1325
+    # 11 places allow 3^5 and 5^5 at most in P * Q, which is b's odd part
+    ranges.clear()
+    generate(EnumerationConfig(max_generator=cap, max_col_i_places=11))
+    within = [f for f in (factor_regular(p * q) for p, q in coprime) if f.e3 <= 5 and f.e5 <= 5]
+    assert len(ranges) == len(within) == 121
+
+
+@pytest.mark.parametrize("cap", [10**3, 10**6, 10**12])
+def test_places_cap_equals_the_filtered_uncapped_table(cap):
+    # the walk prunes cells and a-ranges by the cap; dropping rows from the
+    # uncapped table afterwards must give the same rows in the same order
+    for lo, hi in [(0.0, None), (44.7, 44.8), (80.0, None)]:
+        for degenerate in (False, True):
+            config = EnumerationConfig(max_generator=cap, max_col_i_places=UNCAPPED_PLACES,
+                                       range_min_deg=lo, range_max_deg=hi,
+                                       include_degenerate=degenerate)
+            uncapped = generate(config)
+            for places in (4, 5, 9, 11, 15):
+                capped = generate(config._replace(max_col_i_places=places))
+                assert capped == [r for r in uncapped if r.col_i_places <= places], (lo, places)
 
 
 def test_walk_keeps_order_and_uniqueness_at_10_18():

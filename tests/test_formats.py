@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,23 @@ class TestDecimalWithPeriod:
 
     def test_negative(self):
         assert formats.decimal_with_period(Fraction(-1, 2)) == "-0.5"
+
+    def test_period_is_cut_after_the_shown_digits(self):
+        # 10 has order 3^(k - 2) modulo 3^k: 1/3^9 repeats every 2187 digits
+        text = formats.decimal_with_period(Fraction(1, 4 * 3**9))
+        head, _, cycle = text.partition("p")
+        assert head == "0.00"
+        assert cycle == str(10**1002 // (4 * 3**9) % 10**1000).zfill(1000) + "...(period 2187)"
+
+    def test_longest_shown_period_is_whole(self):
+        # 3^8 gives 729 repeating digits, the longest of the tablet's values
+        cycle = formats.decimal_with_period(Fraction(1, 3**8)).partition("p")[2]
+        assert len(cycle) == 729 and cycle == str(10**729 // 3**8).zfill(729)
+
+    def test_period_of_a_non_regular_denominator_is_bounded(self):
+        # 1/1019 repeats every 1018 digits, past the digits shown
+        assert formats.decimal_with_period(Fraction(1, 1019)).endswith("...(period > 1000)")
+        assert formats.decimal_with_period(Fraction(1, 7)) == "0.p142857"
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +187,44 @@ def test_records_build_no_numeral_objects(monkeypatch):
     records = [formats.enumeration_record(r, i + 1) for i, r in enumerate(rows)]
     text = formats.render(records, formats.ENUMERATION_COLUMNS, "csv")
     assert len(formats.parse_table(text, "csv")) == len(rows) == 2636
+
+
+def codec_dotted(num, den):
+    return sexagesimal.dotted(sexagesimal.ratio_digits(num, den)[0])
+
+
+@pytest.mark.parametrize("num,den", [
+    (0, 1), (0, 7 * 3**40), (59, 1), (60, 1), (3599, 1), (3600, 1), (216000, 1),
+    (1, 60), (1, 3600), (7, 3**40), (3**40 - 1, 3**40), (1, 5**30), (2**61 - 1, 5**30),
+    (1, 2**50 * 3**20), (11, 3**25 * 5**25), (12345678901234567, 2**3 * 3**31 * 5**7),
+] + [(60 * k, d) for k in (1, 59, 60, 61, 3600, 216001) for d in (1, 2, 3, 27)])
+def test_dotted_kernel_equals_the_codec(num, den):
+    assert formats._dotted(num, den) == codec_dotted(num, den)
+
+
+def test_dotted_kernel_equals_the_codec_on_every_row():
+    rows = generate(EnumerationConfig(max_generator=10**12, max_col_i_places=1000))
+    assert len(rows) == 4898
+    for row in rows:
+        col0 = 60 * (row.triangle.sec_fv - 1)
+        assert formats._dotted(col0.numerator, col0.denominator) == codec_dotted(
+            col0.numerator, col0.denominator)
+        assert formats._dotted(row.col_i.numerator, row.col_i.denominator) == codec_dotted(
+            row.col_i.numerator, row.col_i.denominator)
+
+
+def dict_writer_csv(records, columns):
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return buffer.getvalue()
+
+
+def test_csv_bytes_equal_dict_writer(records):
+    rows = generate(EnumerationConfig(max_generator=10**6, max_col_i_places=1000))
+    table = [formats.enumeration_record(r, i + 1) for i, r in enumerate(rows)]
+    quoted = dict(table[0], shorten_d='a,"b"\nc', tablet_line=" ")
+    for recs, columns in [(table, formats.ENUMERATION_COLUMNS), ([quoted], formats.ENUMERATION_COLUMNS),
+                          (records, formats.TABLET_COLUMNS), ([], formats.TABLET_COLUMNS)]:
+        assert formats.to_csv(recs, columns) == dict_writer_csv(recs, columns)

@@ -222,6 +222,18 @@ class TestParseInt:
             with pytest.raises(ValueError, match=message):
                 parse_signed_int("-" + text)
 
+    def test_digit_limit_message_follows_the_limit_in_force(self):
+        # int() raises past the limit and parse_int reads the limit only then
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ValueError, match="^expected at most 640 ASCII digits, got 641$"):
+                parse_int("9" * 641)
+            sys.set_int_max_str_digits(0)  # no limit
+            assert parse_int("9" * 5000) == 10**5000 - 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_signed_reader_takes_a_minus_sign_only(self):
         assert parse_signed_int("-2") == -2
         assert parse_signed_int("3") == 3
