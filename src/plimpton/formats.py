@@ -6,9 +6,8 @@ row losslessly.  Human-facing decimal output may use the p-marker
 convention for repeating decimals ("1.983402p7" repeats the 7); machine
 fields never do.
 
-Records are built from integers.  Each dotted cell writes, two places
-per divmod, the integer that ratio_digits also starts from
-(sexagesimal.ratio_scaled); each "num/den" cell is 60 * value reduced
+Records are built from integers.  Each dotted cell is written by
+sexagesimal.ratio_dotted, two places per divmod; each "num/den" cell is 60 * value reduced
 through gcd(60, den), so no Fraction and no numeral object is made per
 cell.  Reading a record back makes one Fraction per function value.
 """
@@ -22,9 +21,9 @@ import math
 from fractions import Fraction
 
 from .enumeration import EnumeratedRow
-from .numerics import _strip_regular, fraction_text, parse_float, parse_fraction, parse_int, parse_ratio
+from .numerics import fraction_text, parse_float, parse_fraction, parse_int, parse_ratio, strip_regular
 from .reconstruction import GradientTriangle
-from .sexagesimal import _DOT_PAIR, ratio_scaled
+from .sexagesimal import ratio_dotted
 from .tablet import TabletLine
 
 PERIOD_DIGITS_SHOWN = 1000  # at least 729, the longest period of any tablet line's decimals
@@ -55,10 +54,12 @@ def decimal_with_period(value: Fraction) -> str:
     integer, remainder = divmod(value.numerator, value.denominator)
     if remainder == 0:
         return str(integer)
-    e2, e3, e5, rest = _strip_regular(value.denominator)
-    head_places = max(e2, e5)  # the digits before the period
-    head, start = divmod(remainder * 10**head_places, value.denominator)
-    text = f"{integer}." + (str(head).zfill(head_places) if head_places else "")
+    e2, e3, e5, rest = strip_regular(value.denominator)
+    digits, start = [], remainder
+    for _ in range(max(e2, e5)):  # the pre-period, a digit per divmod: str() of it may pass int's digit limit
+        digit, start = divmod(start * 10, value.denominator)
+        digits.append(str(digit))
+    text = f"{integer}." + "".join(digits)
     if start == 0:
         return text
     digits, remainder = [], start
@@ -69,21 +70,6 @@ def decimal_with_period(value: Fraction) -> str:
             return f"{text}p{''.join(digits)}"
     period = 3 ** (e3 - 2) if rest == 1 else f"> {PERIOD_DIGITS_SHOWN}"  # 10 has order 3^(k-2) mod 3^k
     return f"{text}p{''.join(digits)}...(period {period})"
-
-
-def _dotted(num: int, den: int) -> str:
-    """Dotted base-60 text of num/den, as dotted(ratio_digits(num, den)[0]) writes it."""
-    if num == 0:
-        return "0"
-    n = ratio_scaled(num, den)[0]
-    while not n % 60:  # trailing zero places
-        n //= 60
-    pairs = []
-    while n >= 3600:
-        n, low = divmod(n, 3600)
-        pairs.append(_DOT_PAIR[low])
-    pairs.append(_DOT_PAIR[n].lstrip(".0"))  # the leading digit bare
-    return "".join(reversed(pairs))
 
 
 def _times_60(num: int, den: int) -> tuple[int, int]:
@@ -99,8 +85,8 @@ def enumeration_record(row: EnumeratedRow, position: int, tablet_line: int | Non
     col_i = row.col_i
     return {
         "row": str(position),
-        "col0": _dotted(sn - 60 * sd, sd),
-        "colI_sex": _dotted(col_i.numerator, col_i.denominator),
+        "col0": ratio_dotted(sn - 60 * sd, sd),
+        "colI_sex": ratio_dotted(col_i.numerator, col_i.denominator),
         "colI_frac": fraction_text(col_i),
         "width": str(tri.width),
         "diagonal": str(tri.diagonal),
@@ -140,9 +126,9 @@ def tablet_record(line: TabletLine) -> dict[str, str]:
     pre_iii = str(line.pre_shortening[1]) if line.pre_shortening else ""
     return {
         "row": str(line.row),
-        "col0_sex": _dotted(line.col0.numerator, line.col0.denominator),
+        "col0_sex": ratio_dotted(line.col0.numerator, line.col0.denominator),
         "col0_frac": fraction_text(line.col0),
-        "colI_sex": _dotted(line.col_i.numerator, line.col_i.denominator),
+        "colI_sex": ratio_dotted(line.col_i.numerator, line.col_i.denominator),
         "colI_frac": fraction_text(line.col_i),
         "colII_inscribed": str(line.col_ii_inscribed),
         "colII_corrected": str(line.col_ii_corrected),

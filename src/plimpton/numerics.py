@@ -76,8 +76,7 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # past the digit limit, whose own message names an interpreter setting
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"expected at most {limit} ASCII digits, got {len(text)}") from None
+        raise ValueError(f"expected at most {sys.get_int_max_str_digits()} ASCII digits, got {len(text)}") from None
 
 
 def parse_signed_int(text: str) -> int:
@@ -111,7 +110,7 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def _strip_regular(n: int) -> tuple[int, int, int, int]:
+def strip_regular(n: int) -> tuple[int, int, int, int]:
     """Divide out all factors 2, 3, 5 of n >= 1; return (e2, e3, e5, leftover)."""
     e2 = (n & -n).bit_length() - 1  # trailing zero bits
     n >>= e2
@@ -127,14 +126,14 @@ def is_regular(n: int) -> bool:
     """True iff n = 2^a * 3^b * 5^c for non-negative a, b, c."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return _strip_regular(n)[3] == 1
+    return strip_regular(n)[3] == 1
 
 
 def factor_regular(n: int) -> RegularFactorization:
     """Exponent triple of a regular integer; NotRegular otherwise."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    e2, e3, e5, rest = _strip_regular(n)
+    e2, e3, e5, rest = strip_regular(n)
     if rest != 1:
         raise NotRegular(f"{n} has the non-regular factor {rest}")
     return RegularFactorization(e2, e3, e5)

@@ -8,8 +8,9 @@ leading digit to a weight 60**exponent, which makes the value unique.
 Text form is dotted notation ("1.59.00.15").  Canonical formatting
 leaves the leading digit bare and zero-pads the rest to two characters;
 a strict mode pads everything for machine output.  ratio_digits and
-dotted are the one codec: from_rational, Sexagesimal.formatted and the
-table records all go through them.
+dotted are the one codec: from_rational and Sexagesimal.formatted go
+through them, and ratio_dotted, which the table records use, writes the
+same text from the same scaled integer.
 """
 
 from __future__ import annotations
@@ -90,6 +91,20 @@ def dotted(digits: Digits, strict: bool = False) -> str:
     if strict:
         return "".join([_DOT_DIGIT[d] for d in digits])[1:]
     return str(digits[0]) + "".join([_DOT_DIGIT[d] for d in digits[1:]])
+
+
+def ratio_dotted(num: int, den: int) -> str:
+    """dotted(ratio_digits(num, den)[0]), written two places per divmod without the digit tuple."""
+    if num == 0:
+        return "0"
+    n, pairs = ratio_scaled(num, den)[0], []
+    while not n % 60:  # trailing zero places
+        n //= 60
+    while n >= 3600:
+        n, low = divmod(n, 3600)
+        pairs.append(_DOT_PAIR[low])
+    pairs.append(_DOT_PAIR[n].lstrip(".0"))  # the leading digit bare
+    return "".join(reversed(pairs))
 
 
 class Sexagesimal(Validated, NamedTuple("Sexagesimal", [("digits", Digits)])):

@@ -381,6 +381,24 @@ def test_long_periods_print_bounded_text(capsys, argv, period):
     assert f"...(period {period})" in out
 
 
+def test_pre_period_longer_than_the_int_digit_limit(capsys):
+    # bab_tan = 15 (2^9998 - 1) / 2^4998 and bab_sec = 15 (2^9998 + 1) / 2^4998
+    # end after 4,998 decimals, past the 4,300 digits str() writes of one int
+    triple = [str(2**9998 - 1), str(2**9998 + 1), str(2**5000)]
+    code, text, _ = run(capsys, "convert", "triple", *triple)
+    assert code == 0
+    code, out, _ = run(capsys, "--format", "json", "convert", "triple", *triple)
+    assert code == 0
+    record = json.loads(out)[0]
+    for key, integer, decimals in [("bab_tan", 15 * 2**5000 - 1, (2**4998 - 15) * 5**4998),
+                                   ("bab_sec", 15 * 2**5000, 15 * 5**4998)]:
+        head, dot, tail = record[key].partition(".")
+        assert (head, dot, len(tail)) == (str(integer), ".", 4998)
+        assert tail[:30] == str(decimals // 10 ** (4998 - 30)).zfill(30)
+        assert tail[-30:] == str(decimals % 10**30).zfill(30)
+        assert f"{key}    {record[key]}\n" in text
+
+
 def _angle(capsys, *argv) -> str:
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0

@@ -165,6 +165,8 @@ RECORD_CONFIGS = {
 
 @pytest.mark.parametrize("config", RECORD_CONFIGS.values(), ids=RECORD_CONFIGS)
 def test_integer_records_equal_the_fraction_records(config):
+    # col0 and colI_sex are written by sexagesimal.ratio_dotted and compared
+    # here with from_rational's numerals, every row of the 10^12 table among them
     rows = generate(config)
     assert rows
     marks = {p: line for line, p in enumerate(tablet_positions(rows), start=1) if p is not None}
@@ -187,30 +189,6 @@ def test_records_build_no_numeral_objects(monkeypatch):
     records = [formats.enumeration_record(r, i + 1) for i, r in enumerate(rows)]
     text = formats.render(records, formats.ENUMERATION_COLUMNS, "csv")
     assert len(formats.parse_table(text, "csv")) == len(rows) == 2636
-
-
-def codec_dotted(num, den):
-    return sexagesimal.dotted(sexagesimal.ratio_digits(num, den)[0])
-
-
-@pytest.mark.parametrize("num,den", [
-    (0, 1), (0, 7 * 3**40), (59, 1), (60, 1), (3599, 1), (3600, 1), (216000, 1),
-    (1, 60), (1, 3600), (7, 3**40), (3**40 - 1, 3**40), (1, 5**30), (2**61 - 1, 5**30),
-    (1, 2**50 * 3**20), (11, 3**25 * 5**25), (12345678901234567, 2**3 * 3**31 * 5**7),
-] + [(60 * k, d) for k in (1, 59, 60, 61, 3600, 216001) for d in (1, 2, 3, 27)])
-def test_dotted_kernel_equals_the_codec(num, den):
-    assert formats._dotted(num, den) == codec_dotted(num, den)
-
-
-def test_dotted_kernel_equals_the_codec_on_every_row():
-    rows = generate(EnumerationConfig(max_generator=10**12, max_col_i_places=1000))
-    assert len(rows) == 4898
-    for row in rows:
-        col0 = 60 * (row.triangle.sec_fv - 1)
-        assert formats._dotted(col0.numerator, col0.denominator) == codec_dotted(
-            col0.numerator, col0.denominator)
-        assert formats._dotted(row.col_i.numerator, row.col_i.denominator) == codec_dotted(
-            row.col_i.numerator, row.col_i.denominator)
 
 
 def dict_writer_csv(records, columns):

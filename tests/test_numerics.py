@@ -19,9 +19,9 @@ from plimpton.numerics import (
     parse_fraction,
     parse_int,
     parse_signed_int,
-    _strip_regular,
     rational_sqrt_exact,
     regular_numbers,
+    strip_regular,
 )
 
 
@@ -94,7 +94,7 @@ def plain_strip(n: int) -> tuple[int, int, int, int]:
 def test_strip_regular_matches_the_plain_loop():
     rows = generate(EnumerationConfig(max_generator=10**12, max_col_i_places=1000))
     for n in [*range(1, 5001), *(r.col_i.denominator for r in rows)]:
-        assert _strip_regular(n) == plain_strip(n), n
+        assert strip_regular(n) == plain_strip(n), n
 
 
 def test_regular_numbers_prefix():

@@ -14,6 +14,7 @@ from plimpton.sexagesimal import (
     from_rational,
     parse,
     ratio_digits,
+    ratio_dotted,
     reciprocal,
     to_rational,
 )
@@ -164,6 +165,16 @@ def test_digit_helper_is_the_codec_of_from_rational():
             assert len(digits) == 1 or digits[-1] != 0
             assert dotted(digits) == str(anchored.numeral) == _old_text(digits)
             assert dotted(digits, strict=True) == anchored.formatted(strict=True) == _old_text(digits, True)
+
+
+@pytest.mark.parametrize("num,den", [
+    (0, 1), (0, 7 * 3**40), (59, 1), (60, 1), (3599, 1), (3600, 1), (216000, 1),
+    (1, 60), (1, 3600), (7, 3**40), (3**40 - 1, 3**40), (1, 5**30), (2**61 - 1, 5**30),
+    (1, 2**50 * 3**20), (11, 3**25 * 5**25), (12345678901234567, 2**3 * 3**31 * 5**7),
+] + [(60 * k, d) for k in (1, 59, 60, 61, 3600, 216001) for d in (1, 2, 3, 27)])
+def test_ratio_dotted_writes_the_codec_text(num, den):
+    # two places per divmod, trailing zero places trimmed, the leading digit bare
+    assert ratio_dotted(num, den) == dotted(ratio_digits(num, den)[0])
 
 
 class TestReciprocal:
